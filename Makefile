@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check build vet test race race-exchange race-replica race-cluster race-pyramid race-wire soak-smoke bench bench-smoke examples experiments chaos fuzz-short clean
+.PHONY: all check fmt-check build vet test race race-exchange race-replica race-cluster race-pyramid race-wire soak-smoke bench bench-smoke bench-quick examples experiments chaos fuzz-short clean
 
 all: build vet test
 
@@ -75,6 +75,12 @@ bench:
 # timing claims, just "still compiles and executes"
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .
+
+# smoke test of the repository benchmark (bench/ is a module of its own,
+# so `go test ./...` at the root does not run it): every workload at
+# quick sizes, result shape checked against BENCHMARK.json, < 10 s
+bench-quick:
+	cd bench && $(GO) test ./...
 
 # runnable demonstrations of the public API
 examples:

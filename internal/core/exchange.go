@@ -38,9 +38,11 @@ func exTensorName(year, day int, varName string) string {
 	return fmt.Sprintf("esm/%04d/d%03d/%s", year, day, varName)
 }
 
-// publishDay publishes one day's exchange variables straight from the
-// in-memory dataset the daily file was written from — zero-copy: the
-// tensor backing slices are the dataset's variable slices. A closed
+// publishDay publishes one day's exchange variables from the in-memory
+// dataset the daily file was written from, without re-reading the file.
+// The exchange keeps a tensor's backing slice until a consumer takes it,
+// and esm.Model.Run recycles the dataset's storage for the next day, so
+// each published variable is copied (six of the day's twenty). A closed
 // exchange silently disables publishing (consumers fall back to files).
 func publishDay(x *texchange.Exchange, d *esm.DayOutput, ds *ncdf.Dataset) error {
 	meta := map[string]string{
@@ -55,7 +57,7 @@ func publishDay(x *texchange.Exchange, d *esm.DayOutput, ds *ncdf.Dataset) error
 		t := texchange.Tensor{
 			Name:  exTensorName(d.Year, d.DayOfYear, name),
 			Shape: []int{esm.StepsPerDay, d.Grid.NLat, d.Grid.NLon},
-			Data:  v.Data,
+			Data:  append([]float32(nil), v.Data...),
 			Meta:  meta,
 		}
 		if _, err := x.Publish(t); err != nil {

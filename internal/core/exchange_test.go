@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/esm"
+	"repro/internal/grid"
 	"repro/internal/ml"
 	"repro/internal/ncdf"
 	"repro/internal/texchange"
@@ -181,5 +184,40 @@ func TestExchangeRunAttachOnlyIgnoresExchange(t *testing.T) {
 	}
 	if st := x.Stats(); st.Publishes != 0 || st.Waits != 0 {
 		t.Fatalf("attach-only run touched the exchange: %+v", st)
+	}
+}
+
+// TestPublishDayCopies: the exchange holds a tensor until a consumer
+// takes it, while esm.Model.Run recycles the day's storage as soon as
+// the OnDataset callback returns — so what publishDay publishes must
+// survive the days that follow.
+func TestPublishDayCopies(t *testing.T) {
+	x := texchange.New(texchange.Config{})
+	defer x.Close()
+	m := esm.NewModel(esm.Config{Grid: grid.Grid{NLat: 12, NLon: 24}, Years: 1, DaysPerYear: 3, Seed: 5})
+	day0 := map[string][]float32{}
+	_, err := m.Run(esm.RunOptions{Dir: t.TempDir(), OnDataset: func(_ string, d *esm.DayOutput, ds *ncdf.Dataset) error {
+		if d.DayOfYear == 0 {
+			for _, name := range exchangeVars {
+				v, err := ds.Var(name)
+				if err != nil {
+					return err
+				}
+				day0[name] = append([]float32(nil), v.Data...)
+			}
+		}
+		return publishDay(x, d, ds)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range exchangeVars {
+		got, ok, err := x.Get(exTensorName(m.Config().StartYear, 0, name))
+		if err != nil || !ok {
+			t.Fatalf("%s: ok=%v err=%v", name, ok, err)
+		}
+		if !reflect.DeepEqual(got.Data, day0[name]) {
+			t.Fatalf("%s: day 0's published tensor changed while later days ran", name)
+		}
 	}
 }

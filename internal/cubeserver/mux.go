@@ -183,17 +183,11 @@ func (m *muxConn) do(req *Request) (*Response, error) {
 	case m.writeCh <- buf:
 	case <-m.done:
 		putBuf(buf)
-		// poison may have drained our entry already; prefer its verdict.
-		select {
-		case res := <-ch:
-			return nil, res.err
-		default:
-		}
-		m.mu.Lock()
-		delete(m.inflight, id)
-		err := m.brokenErrLocked()
-		m.mu.Unlock()
-		return nil, err
+		// poison takes every in-flight entry (ours was registered while
+		// m.err was nil) before it closes done, and sends each a verdict
+		// — ours may be the one raw transport error. Wait for it below
+		// like a caller whose request was sent: polling ch here loses it
+		// to the gap between poison taking the entry and sending.
 	}
 
 	res := <-ch

@@ -143,8 +143,12 @@ func (c Config) withDefaults() Config {
 // computed over a 20-year period", §5.3) is exactly this function, so
 // index pipelines can compare against the true climatology.
 func Climatology(g grid.Grid, i, j int, dayOfYear, daysPerYear int) float64 {
-	lat := g.Lat(i)
-	lon := g.Lon(j)
+	return climatologyZonal(g.Lat(i), dayOfYear, daysPerYear) + climatologyLon(g.Lon(j))
+}
+
+// climatologyZonal is the part of Climatology that depends only on
+// latitude and day, so StepDay computes it once per row.
+func climatologyZonal(lat float64, dayOfYear, daysPerYear int) float64 {
 	// zonal mean: warm equator, cold poles
 	base := 288.0 - 45.0*math.Pow(math.Abs(lat)/90, 1.6)
 	// seasonal cycle: amplitude grows poleward, antiphase across
@@ -157,10 +161,12 @@ func Climatology(g grid.Grid, i, j int, dayOfYear, daysPerYear int) float64 {
 	} else {
 		base += amp * math.Cos(phase)
 	}
-	// weak zonal asymmetry (continents vs oceans analogue)
-	base += 2.0 * math.Sin(2*lon*math.Pi/180)
 	return base
 }
+
+// climatologyLon is Climatology's weak zonal asymmetry (continents vs
+// oceans analogue).
+func climatologyLon(lon float64) float64 { return 2.0 * math.Sin(2*lon*math.Pi/180) }
 
 // DiurnalAnomaly returns the additive temperature offset [K] of a
 // 6-hourly step (0..3): coldest near 06h, warmest near 15h.

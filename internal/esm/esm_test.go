@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -373,63 +374,139 @@ func TestRunWritesFilesInOrder(t *testing.T) {
 	}
 }
 
-// TestRunOnDatasetSharesWrittenData: the OnDataset hook hands back the
-// exact in-memory dataset the file was written from — same variable
-// backing slices, same bytes on disk — so exchange publishers never
-// re-read what they just produced.
+// TestRunOnDatasetSharesWrittenData: the OnDataset hook hands over the
+// exact in-memory dataset the file was written from — the day's own
+// backing storage, same bytes on disk — so exchange publishers never
+// re-read what they just produced. Run recycles that storage, so the
+// comparison happens inside the callback, where the contract holds.
 func TestRunOnDatasetSharesWrittenData(t *testing.T) {
 	dir := t.TempDir()
 	cfg := smallCfg()
 	cfg.DaysPerYear = 3
 	m := NewModel(cfg)
-	type tap struct {
-		path string
-		ds   *ncdf.Dataset
-	}
-	var taps []tap
+	calls := 0
 	_, err := m.Run(RunOptions{Dir: dir, OnDataset: func(p string, d *DayOutput, ds *ncdf.Dataset) error {
-		taps = append(taps, tap{p, ds})
+		calls++
+		onDisk, err := ncdf.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		for _, name := range Vars {
+			mem, err := ds.Var(name)
+			if err != nil {
+				return err
+			}
+			disk, err := onDisk.Var(name)
+			if err != nil {
+				return err
+			}
+			if f, _ := d.Field(0, name); &mem.Data[0] != &f.Data[0] {
+				return fmt.Errorf("%s: dataset variable is a copy of the day's field", name)
+			}
+			if len(mem.Data) != len(disk.Data) {
+				return fmt.Errorf("%s: in-memory %d values, on-disk %d", name, len(mem.Data), len(disk.Data))
+			}
+			for i := range mem.Data {
+				if mem.Data[i] != disk.Data[i] {
+					return fmt.Errorf("%s[%d]: memory %v != disk %v", name, i, mem.Data[i], disk.Data[i])
+				}
+			}
+		}
 		return nil
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(taps) != 3 {
-		t.Fatalf("OnDataset calls = %d", len(taps))
-	}
-	for _, tp := range taps {
-		onDisk, err := ncdf.ReadFile(tp.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range Vars {
-			mem, err := tp.ds.Var(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			disk, err := onDisk.Var(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(mem.Data) != len(disk.Data) {
-				t.Fatalf("%s: in-memory %d values, on-disk %d", name, len(mem.Data), len(disk.Data))
-			}
-			for i := range mem.Data {
-				if mem.Data[i] != disk.Data[i] {
-					t.Fatalf("%s[%d]: memory %v != disk %v", name, i, mem.Data[i], disk.Data[i])
-				}
-			}
-		}
+	if calls != 3 {
+		t.Fatalf("OnDataset calls = %d", calls)
 	}
 	// An OnDataset error aborts the run after the failing day.
 	m2 := NewModel(cfg)
-	calls := 0
+	calls = 0
 	_, err = m2.Run(RunOptions{Dir: t.TempDir(), OnDataset: func(string, *DayOutput, *ncdf.Dataset) error {
 		calls++
 		return fmt.Errorf("boom")
 	}})
 	if err == nil || calls != 1 {
 		t.Fatalf("err=%v calls=%d", err, calls)
+	}
+}
+
+// sameDay reports the first field in which two days differ.
+func sameDay(got, want *DayOutput) error {
+	if got.Year != want.Year || got.DayOfYear != want.DayOfYear {
+		return fmt.Errorf("day %d/%d, want %d/%d", got.Year, got.DayOfYear, want.Year, want.DayOfYear)
+	}
+	for s := 0; s < StepsPerDay; s++ {
+		for _, name := range Vars {
+			gf, _ := got.Field(s, name)
+			wf, _ := want.Field(s, name)
+			if !equalFields(gf, wf) {
+				return fmt.Errorf("day %d step %d: %s differs", want.DayOfYear, s, name)
+			}
+		}
+	}
+	return nil
+}
+
+// TestStepDayOutputsAreIndependent: ml.SamplesFromSimulations and
+// cmd/tcexperiment keep every DayOutput a bare StepDay returns, so a
+// later day must never write into an earlier one.
+func TestStepDayOutputsAreIndependent(t *testing.T) {
+	cfg := smallCfg()
+	cfg.DaysPerYear = 10
+	m, ref := NewModel(cfg), NewModel(cfg)
+	var kept []*DayOutput
+	for d := m.StepDay(); d != nil; d = m.StepDay() {
+		kept = append(kept, d)
+	}
+	if len(kept) != 10 {
+		t.Fatalf("kept %d days", len(kept))
+	}
+	// ref has only produced the day under comparison when it is compared
+	for _, d := range kept {
+		if err := sameDay(d, ref.StepDay()); err != nil {
+			t.Fatalf("kept output changed after later days ran: %v", err)
+		}
+	}
+}
+
+// TestRunCallbacksSeeCurrentDay: Run recycles one day's storage, and
+// the contract is that OnDataset and OnDay see the day that just landed
+// for as long as the callback runs.
+func TestRunCallbacksSeeCurrentDay(t *testing.T) {
+	cfg := smallCfg()
+	cfg.DaysPerYear = 6
+	m, ref := NewModel(cfg), NewModel(cfg)
+	var want *DayOutput
+	var onDayErr error
+	days := 0
+	_, err := m.Run(RunOptions{
+		Dir: t.TempDir(),
+		OnDataset: func(_ string, d *DayOutput, ds *ncdf.Dataset) error {
+			want = ref.StepDay()
+			if err := sameDay(d, want); err != nil {
+				return err
+			}
+			for _, v := range ds.Vars { // time-major: step 0 comes first
+				if wf, _ := want.Field(0, v.Name); !slices.Equal(v.Data[:len(wf.Data)], wf.Data) {
+					return fmt.Errorf("day %d: dataset variable %s differs", d.DayOfYear, v.Name)
+				}
+			}
+			return nil
+		},
+		OnDay: func(_ string, d *DayOutput) {
+			days++
+			if err := sameDay(d, want); err != nil && onDayErr == nil {
+				onDayErr = err
+			}
+		},
+	})
+	if err != nil || onDayErr != nil {
+		t.Fatalf("OnDataset: %v, OnDay: %v", err, onDayErr)
+	}
+	if days != 6 {
+		t.Fatalf("OnDay calls = %d", days)
 	}
 }
 

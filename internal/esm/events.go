@@ -247,7 +247,7 @@ const vortexRadiusDeg = 4.0
 // the instantaneous fields: a Gaussian sea-level-pressure depression,
 // cyclonic tangential winds, a warm core at 500 hPa, heavy rain and
 // matching 850 hPa vorticity.
-func imprintCyclone(g grid.Grid, p TrackPoint, psl, u, v, t500, prect, vort *grid.Field) {
+func imprintCyclone(g grid.Grid, p TrackPoint, psl, u, v, t500, prect, vort []float32) {
 	southern := p.Lat < 0
 	reach := int(3 * vortexRadiusDeg / g.LatStep())
 	ci, cj := g.CellOf(p.Lat, p.Lon)
@@ -272,7 +272,7 @@ func imprintCyclone(g grid.Grid, p TrackPoint, psl, u, v, t500, prect, vort *gri
 			}
 			w := math.Exp(-r2)
 			idx := g.Index(i, j)
-			psl.Data[idx] -= float32(p.PressureDrop * w)
+			psl[idx] -= float32(p.PressureDrop * w)
 			// tangential wind: v_t peaks near r = radius/sqrt(2)
 			r := math.Sqrt(r2)
 			vt := p.MaxWind * math.Sqrt2 * r * math.Exp(0.5-r2)
@@ -285,17 +285,17 @@ func imprintCyclone(g grid.Grid, p TrackPoint, psl, u, v, t500, prect, vort *gri
 				}
 				norm := math.Hypot(tx, ty)
 				if norm > 1e-9 {
-					u.Data[idx] += float32(vt * tx / norm)
-					v.Data[idx] += float32(vt * ty / norm)
+					u[idx] += float32(vt * tx / norm)
+					v[idx] += float32(vt * ty / norm)
 				}
 			}
-			t500.Data[idx] += float32(6 * w) // warm core
-			prect.Data[idx] += float32(80 * w)
+			t500[idx] += float32(6 * w) // warm core
+			prect[idx] += float32(80 * w)
 			sign := 1.0
 			if southern {
 				sign = -1
 			}
-			vort.Data[idx] += float32(sign * 3e-4 * w * (1 - r2/4))
+			vort[idx] += float32(sign * 3e-4 * w * (1 - r2/4))
 		}
 	}
 }

@@ -14,8 +14,37 @@ type DayOutput struct {
 	Year, DayOfYear int
 	// Grid is the output grid.
 	Grid grid.Grid
-	// Steps[s][v] is the field of variable v at 6-hourly step s.
-	Steps []map[string]*grid.Field
+	// Steps[s][v] is the field of variable Vars[v] at 6-hourly step s, a
+	// view into data.
+	Steps [][]grid.Field
+	// data backs every field in the daily file's order: variable-major
+	// in Vars order, then (time, lat, lon).
+	data []float32
+}
+
+// varIndex maps a variable name to its position in Vars.
+var varIndex = func() map[string]int {
+	m := make(map[string]int, len(Vars))
+	for i, v := range Vars {
+		m[v] = i
+	}
+	return m
+}()
+
+// newDayOutput allocates a day's storage: one backing array and the
+// field views into it.
+func newDayOutput(g grid.Grid) *DayOutput {
+	size := g.Size()
+	d := &DayOutput{Grid: g, Steps: make([][]grid.Field, StepsPerDay), data: make([]float32, len(Vars)*StepsPerDay*size)}
+	fields := make([]grid.Field, StepsPerDay*len(Vars))
+	for s := range d.Steps {
+		d.Steps[s] = fields[s*len(Vars) : (s+1)*len(Vars)]
+		for v := range Vars {
+			off := (v*StepsPerDay + s) * size
+			d.Steps[s][v] = grid.Field{Grid: g, Data: d.data[off : off+size : off+size]}
+		}
+	}
+	return d
 }
 
 // Field returns the field of variable v at step s.
@@ -23,11 +52,11 @@ func (d *DayOutput) Field(s int, v string) (*grid.Field, error) {
 	if s < 0 || s >= len(d.Steps) {
 		return nil, fmt.Errorf("esm: step %d out of range", s)
 	}
-	f, ok := d.Steps[s][v]
+	vi, ok := varIndex[v]
 	if !ok {
 		return nil, fmt.Errorf("esm: unknown variable %q", v)
 	}
-	return f, nil
+	return &d.Steps[s][vi], nil
 }
 
 // Model is the running coupled system.
@@ -42,6 +71,13 @@ type Model struct {
 	sst *grid.Field // slab-ocean state
 
 	absDay int // days elapsed since run start
+
+	// Scratch that StepDay reuses from day to day; none of it is
+	// prognostic state or reachable from a DayOutput.
+	baseT    []float32  // daily base temperature
+	climLon  []float64  // climatologyLon per column
+	waves    []*Wave    // waves active on the current day
+	cyclones []*Cyclone // cyclones of the current year
 }
 
 // NewModel builds a model, seeding all ground-truth events for the full
@@ -64,6 +100,12 @@ func NewModel(cfg Config) *Model {
 		storms := seedCyclones(cfg, year, stormID, evRng)
 		stormID += len(storms)
 		m.gt.Cyclones = append(m.gt.Cyclones, storms...)
+	}
+
+	m.baseT = make([]float32, cfg.Grid.Size())
+	m.climLon = make([]float64, cfg.Grid.NLon)
+	for j := range m.climLon {
+		m.climLon[j] = climatologyLon(cfg.Grid.Lon(j))
 	}
 
 	// Initialize the slab ocean at day-0 climatology.
@@ -91,9 +133,14 @@ func (m *Model) DaysCompleted() int { return m.absDay }
 // Done reports whether the run is complete.
 func (m *Model) Done() bool { return m.absDay >= m.TotalDays() }
 
-// StepDay advances the coupled system one day and returns its output.
-// It returns nil once the configured span is exhausted.
-func (m *Model) StepDay() *DayOutput {
+// StepDay advances the coupled system one day and returns its output,
+// which the caller owns. It returns nil once the configured span is
+// exhausted.
+func (m *Model) StepDay() *DayOutput { return m.stepDay(nil) }
+
+// stepDay is StepDay into out's storage (every field is overwritten),
+// or into fresh storage when out is nil.
+func (m *Model) stepDay(out *DayOutput) *DayOutput {
 	if m.Done() {
 		return nil
 	}
@@ -103,109 +150,117 @@ func (m *Model) StepDay() *DayOutput {
 	year := cfg.StartYear + yearIdx
 	doy := m.absDay % cfg.DaysPerYear
 	warming := cfg.Scenario.WarmingRate() * float64(yearIdx)
+	if out == nil {
+		out = newDayOutput(g)
+	}
+	out.Year, out.DayOfYear = year, doy
+
+	// the day's events, so no cell loop scans every year's
+	m.waves, m.cyclones = m.waves[:0], m.cyclones[:0]
+	for wi := range m.gt.Waves {
+		if w := &m.gt.Waves[wi]; w.Year == year && doy >= w.StartDay && doy < w.StartDay+w.Days {
+			m.waves = append(m.waves, w)
+		}
+	}
+	for ci := range m.gt.Cyclones {
+		if c := &m.gt.Cyclones[ci]; c.Year == year {
+			m.cyclones = append(m.cyclones, c)
+		}
+	}
 
 	// --- atmosphere daily base state ---------------------------------
-	nT := m.noiseT.step()
-	nP := m.noiseP.step()
-	nW := m.noiseW.step()
-
-	baseT := grid.NewField(g)
+	nT, nP, nW := m.noiseT.step().Data, m.noiseP.step().Data, m.noiseW.step().Data
+	baseT, sst := m.baseT, m.sst.Data
 	for i := 0; i < g.NLat; i++ {
+		zonal := climatologyZonal(g.Lat(i), doy, cfg.DaysPerYear)
 		for j := 0; j < g.NLon; j++ {
 			idx := g.Index(i, j)
-			t := Climatology(g, i, j, doy, cfg.DaysPerYear) + warming + float64(nT.Data[idx])
-			for wi := range m.gt.Waves {
-				w := &m.gt.Waves[wi]
-				if w.Year == year {
-					t += w.anomalyAt(g, i, j, doy)
-				}
+			t := zonal + m.climLon[j] + warming + float64(nT[idx])
+			for _, w := range m.waves {
+				t += w.anomalyAt(g, i, j, doy)
 			}
-			baseT.Data[idx] = float32(t)
+			baseT[idx] = float32(t)
 		}
 	}
 
 	// --- ocean coupling: SST relaxes toward surface air temperature ---
 	const relaxDays = 20.0
-	for idx := range m.sst.Data {
-		m.sst.Data[idx] += (baseT.Data[idx] - m.sst.Data[idx]) / relaxDays
+	for idx := range sst {
+		sst[idx] += (baseT[idx] - sst[idx]) / relaxDays
 	}
 
-	out := &DayOutput{Year: year, DayOfYear: doy, Grid: g, Steps: make([]map[string]*grid.Field, StepsPerDay)}
 	for s := 0; s < StepsPerDay; s++ {
-		fields := make(map[string]*grid.Field, len(Vars))
-		for _, v := range Vars {
-			fields[v] = grid.NewField(g)
-		}
+		// resolve the step's field slices once, not per cell
+		fld := func(name string) []float32 { return out.Steps[s][varIndex[name]].Data }
+		trefht, ts, sstOut, icefrac := fld("TREFHT"), fld("TS"), fld("SST"), fld("ICEFRAC")
+		psl, u850, v850, u10, v10 := fld("PSL"), fld("U850"), fld("V850"), fld("U10"), fld("V10")
+		q850, t500, z500, prect := fld("Q850"), fld("T500"), fld("Z500"), fld("PRECT")
+		cldtot, fsnt, flnt, vort850 := fld("CLDTOT"), fld("FSNT"), fld("FLNT"), fld("VORT850")
+		wspd10, taux, tauy := fld("WSPD10"), fld("TAUX"), fld("TAUY")
+
 		diurnal := DiurnalAnomaly(s)
 		for i := 0; i < g.NLat; i++ {
+			// latitude-only terms, once per row
 			lat := g.Lat(i)
 			jet := 12*math.Exp(-math.Pow((math.Abs(lat)-45)/12, 2)) - 4*math.Exp(-math.Pow(lat/12, 2))
+			pslZonal := 101325 + 800*math.Cos(2*lat*math.Pi/180)
+			// base precipitation: ITCZ band plus humidity scaling
+			itcz := 6 * math.Exp(-math.Pow(lat/10, 2))
+			cosLat := math.Cos(lat * math.Pi / 180)
 			for j := 0; j < g.NLon; j++ {
 				idx := g.Index(i, j)
-				t := float64(baseT.Data[idx]) + diurnal
-				sst := float64(m.sst.Data[idx])
+				t := float64(baseT[idx]) + diurnal
+				sstK := float64(sst[idx])
 
-				fields["TREFHT"].Data[idx] = float32(t)
-				fields["TS"].Data[idx] = float32(0.7*t + 0.3*sst)
-				fields["SST"].Data[idx] = float32(sst)
-				ice := iceFraction(sst)
-				fields["ICEFRAC"].Data[idx] = float32(ice)
+				trefht[idx] = float32(t)
+				ts[idx] = float32(0.7*t + 0.3*sstK)
+				sstOut[idx] = float32(sstK)
+				icefrac[idx] = float32(iceFraction(sstK))
 
-				psl := 101325 + 800*math.Cos(2*lat*math.Pi/180) + 120*float64(nP.Data[idx])
-				fields["PSL"].Data[idx] = float32(psl)
+				psl[idx] = float32(pslZonal + 120*float64(nP[idx]))
 
-				u := jet + float64(nW.Data[idx])
-				v := 0.6 * float64(nW.Data[(idx+g.NLon/2)%len(nW.Data)])
-				fields["U850"].Data[idx] = float32(u)
-				fields["V850"].Data[idx] = float32(v)
-				fields["U10"].Data[idx] = float32(0.6 * u)
-				fields["V10"].Data[idx] = float32(0.6 * v)
+				u := jet + float64(nW[idx])
+				v := 0.6 * float64(nW[(idx+g.NLon/2)%len(nW)])
+				u850[idx] = float32(u)
+				v850[idx] = float32(v)
+				u10[idx] = float32(0.6 * u)
+				v10[idx] = float32(0.6 * v)
 
 				q := 8 * math.Exp((t-288)/15)
 				if q > 25 {
 					q = 25
 				}
-				fields["Q850"].Data[idx] = float32(q)
-				fields["T500"].Data[idx] = float32(t - 30)
-				fields["Z500"].Data[idx] = float32(5600 + 7*(t-288))
+				q850[idx] = float32(q)
+				t500[idx] = float32(t - 30)
+				z500[idx] = float32(5600 + 7*(t-288))
 
-				// base precipitation: ITCZ band plus humidity scaling
-				itcz := 6 * math.Exp(-math.Pow(lat/10, 2))
 				pr := itcz * (0.5 + q/16)
-				if n := float64(nT.Data[idx]); n > 1 {
+				if n := float64(nT[idx]); n > 1 {
 					pr += 2 * (n - 1)
 				}
-				fields["PRECT"].Data[idx] = float32(pr)
+				prect[idx] = float32(pr)
 
 				cld := 1 / (1 + math.Exp(-(q-9)/3))
-				fields["CLDTOT"].Data[idx] = float32(cld)
-				fields["FSNT"].Data[idx] = float32(340 * (1 - 0.5*cld) * math.Cos(lat*math.Pi/180))
-				fields["FLNT"].Data[idx] = float32(2.2 * (t - 190) * (1 - 0.35*cld))
-				fields["VORT850"].Data[idx] = float32(2e-5 * float64(nW.Data[idx]))
+				cldtot[idx] = float32(cld)
+				fsnt[idx] = float32(340 * (1 - 0.5*cld) * cosLat)
+				flnt[idx] = float32(2.2 * (t - 190) * (1 - 0.35*cld))
+				vort850[idx] = float32(2e-5 * float64(nW[idx]))
 			}
 		}
 		// cyclone imprints at this step
-		for ci := range m.gt.Cyclones {
-			c := &m.gt.Cyclones[ci]
-			if c.Year != year {
-				continue
-			}
+		for _, c := range m.cyclones {
 			if p, ok := c.Active(doy, s); ok {
-				imprintCyclone(g, p,
-					fields["PSL"], fields["U850"], fields["V850"],
-					fields["T500"], fields["PRECT"], fields["VORT850"])
+				imprintCyclone(g, p, psl, u850, v850, t500, prect, vort850)
 			}
 		}
 		// derived fields
-		for idx := range fields["U10"].Data {
-			u10 := float64(fields["U10"].Data[idx])
-			v10 := float64(fields["V10"].Data[idx])
-			sp := math.Hypot(u10, v10)
-			fields["WSPD10"].Data[idx] = float32(sp)
-			fields["TAUX"].Data[idx] = float32(0.0015 * sp * u10)
-			fields["TAUY"].Data[idx] = float32(0.0015 * sp * v10)
+		for idx := range u10 {
+			u, v := float64(u10[idx]), float64(v10[idx])
+			sp := math.Hypot(u, v)
+			wspd10[idx] = float32(sp)
+			taux[idx] = float32(0.0015 * sp * u)
+			tauy[idx] = float32(0.0015 * sp * v)
 		}
-		out.Steps[s] = fields
 	}
 	m.absDay++
 	return out

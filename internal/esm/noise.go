@@ -10,8 +10,8 @@ import (
 // spatial structure (weather systems) rather than white pixel noise.
 type noiseField struct {
 	coarse grid.Grid
-	target grid.Grid
 	state  *grid.Field
+	out    *grid.Field // step's result, overwritten by the next step
 	rng    *prng
 	// rho is the day-to-day autocorrelation; sigma the innovation
 	// standard deviation.
@@ -22,8 +22,8 @@ func newNoiseField(target grid.Grid, rng *prng, rho, sigma float64) *noiseField 
 	coarse := grid.Grid{NLat: maxInt(target.NLat/6, 4), NLon: maxInt(target.NLon/6, 8)}
 	n := &noiseField{
 		coarse: coarse,
-		target: target,
 		state:  grid.NewField(coarse),
+		out:    grid.NewField(target),
 		rng:    rng,
 		rho:    rho,
 		sigma:  sigma,
@@ -43,10 +43,10 @@ func maxInt(a, b int) int {
 }
 
 // step evolves the coarse state one day and returns the interpolated
-// full-resolution field.
+// full-resolution field, valid until the next step.
 func (n *noiseField) step() *grid.Field {
 	for i := range n.state.Data {
 		n.state.Data[i] = float32(n.rho*float64(n.state.Data[i]) + n.rng.NormFloat64()*n.sigma)
 	}
-	return n.state.Regrid(n.target)
+	return n.state.RegridInto(n.out)
 }

@@ -37,7 +37,7 @@ func YearOf(path string) (int, bool) {
 
 // ToDataset converts a day's output into a GNC1 dataset with dims
 // (time, lat, lon) and one variable per model field, matching the
-// paper's daily-file contract.
+// paper's daily-file contract. The variables share the day's storage.
 func (d *DayOutput) ToDataset() (*ncdf.Dataset, error) {
 	ds := ncdf.NewDataset()
 	if err := ds.AddDim("time", StepsPerDay); err != nil {
@@ -53,17 +53,13 @@ func (d *DayOutput) ToDataset() (*ncdf.Dataset, error) {
 	ds.Attrs["year"] = ncdf.Int(int64(d.Year))
 	ds.Attrs["day_of_year"] = ncdf.Int(int64(d.DayOfYear))
 	ds.Attrs["steps_per_day"] = ncdf.Int(StepsPerDay)
-	size := d.Grid.Size()
-	for _, name := range Vars {
-		data := make([]float32, StepsPerDay*size)
-		for s := 0; s < StepsPerDay; s++ {
-			f, ok := d.Steps[s][name]
-			if !ok {
-				return nil, fmt.Errorf("esm: missing variable %q at step %d", name, s)
-			}
-			copy(data[s*size:(s+1)*size], f.Data)
-		}
-		if _, err := ds.AddVar(name, []string{"time", "lat", "lon"}, data); err != nil {
+	n := StepsPerDay * d.Grid.Size()
+	if len(d.data) != len(Vars)*n {
+		return nil, fmt.Errorf("esm: day output holds %d values, want %d", len(d.data), len(Vars)*n)
+	}
+	for v, name := range Vars {
+		// the backing array is already in file order: no copy
+		if _, err := ds.AddVar(name, []string{"time", "lat", "lon"}, d.data[v*n:(v+1)*n]); err != nil {
 			return nil, err
 		}
 	}
@@ -112,6 +108,10 @@ type RunOptions struct {
 	// model output to an in-memory exchange without re-reading the file.
 	// The dataset's variable slices are shared with what was written;
 	// consumers must treat them as read-only. An error aborts the run.
+	//
+	// Run recycles one day's storage for the whole run: the DayOutput
+	// and Dataset passed to OnDay and OnDataset are valid only until the
+	// callback returns, and a callback that keeps data must copy it.
 	OnDataset func(path string, d *DayOutput, ds *ncdf.Dataset) error
 }
 
@@ -122,9 +122,9 @@ type RunOptions struct {
 // completed" (paper step 3).
 func (m *Model) Run(opt RunOptions) ([]string, error) {
 	var paths []string
+	var d *DayOutput // recycled from day to day
 	for {
-		d := m.StepDay()
-		if d == nil {
+		if d = m.stepDay(d); d == nil {
 			return paths, nil
 		}
 		p, _, err := d.writeDay(opt.Dir, opt.OnDataset)

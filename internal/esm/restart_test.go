@@ -1,10 +1,12 @@
 package esm
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/ncdf"
 )
 
 // equalFields compares two fields bit-exactly.
@@ -67,6 +69,48 @@ func TestRestartResumesBitExactly(t *testing.T) {
 	if !resumed.Done() || resumed.StepDay() != nil {
 		t.Fatal("resumed model should be exhausted")
 	}
+
+	// The same in the middle of a Run, which recycles one day's storage:
+	// OnDay records a restart image after day k of year 2, the run stops,
+	// UnmarshalRestart + Run finish it, and every file matches the
+	// manifest — recycled buffers carry no state a restart would lose.
+	const name, k = "seed42_24x48", 41
+	dir := t.TempDir()
+	var image []byte
+	var imageErr error
+	first := NewModel(manifestCases()[name])
+	_, err = first.Run(RunOptions{
+		Dir: dir,
+		OnDay: func(string, *DayOutput) {
+			if first.DaysCompleted() == k {
+				image, imageErr = first.MarshalRestart()
+			}
+		},
+		OnDataset: func(string, *DayOutput, *ncdf.Dataset) error {
+			if image != nil {
+				return errEnough
+			}
+			return nil
+		},
+	})
+	if !errors.Is(err, errEnough) || imageErr != nil {
+		t.Fatalf("interrupted run: %v, restart image: %v", err, imageErr)
+	}
+	second, err := UnmarshalRestart(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.DaysCompleted() != k {
+		t.Fatalf("resumed at day %d, want %d", second.DaysCompleted(), k)
+	}
+	if _, err := second.Run(RunOptions{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.nc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffHashes(t, "restart in mid-Run", hashFiles(t, files), loadManifest(t)[name])
 }
 
 func TestRestartPreservesGroundTruth(t *testing.T) {

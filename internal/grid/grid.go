@@ -102,9 +102,12 @@ func (f *Field) Set(i, j int, v float32) {
 
 // Regrid resamples the field onto dst using bilinear interpolation with
 // longitudinal wraparound.
-func (f *Field) Regrid(dst Grid) *Field {
-	out := NewField(dst)
-	src := f.Grid
+func (f *Field) Regrid(dst Grid) *Field { return f.RegridInto(NewField(dst)) }
+
+// RegridInto is Regrid onto out's grid into out's storage, for callers
+// that resample every step; every cell of out is overwritten.
+func (f *Field) RegridInto(out *Field) *Field {
+	dst, src := out.Grid, f.Grid
 	for i := 0; i < dst.NLat; i++ {
 		// fractional source row for this destination latitude
 		si := (dst.Lat(i)+90)/src.LatStep() - 0.5
