@@ -74,7 +74,7 @@ bench:
 # CI smoke: every benchmark runs once so the harnesses can't rot; no
 # timing claims, just "still compiles and executes"
 bench-smoke:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x .
+	$(GO) test -run '^$$' -bench=. -benchtime=1x . ./internal/datacube
 
 # smoke test of the repository benchmark (bench/ is a module of its own,
 # so `go test ./...` at the root does not run it): every workload at
@@ -109,6 +109,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run=FuzzRead ./internal/ncdf/
 	$(GO) test -fuzz=FuzzCompile -fuzztime=10s -run=FuzzCompile ./internal/datacube/
 	$(GO) test -fuzz=FuzzPlan -fuzztime=10s -run=FuzzPlan ./internal/datacube/
+	$(GO) test -fuzz=FuzzRowKernel -fuzztime=10s -run=FuzzRowKernel ./internal/datacube/
 	$(GO) test -fuzz=FuzzWireFrame -fuzztime=10s -run=FuzzWireFrame ./internal/cubeserver/
 
 clean:

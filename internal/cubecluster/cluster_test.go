@@ -2,6 +2,7 @@ package cubecluster
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -17,7 +18,20 @@ import (
 // sum exact, so cluster results must be BYTE-identical to a single
 // engine at any shard count — no tolerance anywhere in these tests.
 func writeClusterFile(t *testing.T, dir string, lat, lon, steps int) string {
+	return writeClusterFileLaced(t, dir, lat, lon, steps, false)
+}
+
+// writeClusterFileLaced is writeClusterFile with, when lace is set,
+// about one value in five replaced by NaN of either sign, ±Inf or ±0:
+// what is left is still integer-valued, so sums stay exact, and every
+// special value must come out of a sharded pipeline as it comes out of
+// one engine (compare with sameValues: NaN defeats reflect.DeepEqual).
+func writeClusterFileLaced(t *testing.T, dir string, lat, lon, steps int, lace bool) string {
 	t.Helper()
+	specials := []float32{
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000),
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(0x80000000), 0,
+	}
 	ds := ncdf.NewDataset()
 	if err := ds.AddDim("lat", lat); err != nil {
 		t.Fatal(err)
@@ -33,6 +47,9 @@ func writeClusterFile(t *testing.T, dir string, lat, lon, steps int) string {
 		for o := 0; o < lon; o++ {
 			for tt := 0; tt < steps; tt++ {
 				data[(l*lon+o)*steps+tt] = float32((l*7+o*3)%13 + (tt*5)%9)
+				if h := (l*lon+o)*31 + tt*17; lace && h%5 == 0 {
+					data[(l*lon+o)*steps+tt] = specials[h/5%len(specials)]
+				}
 			}
 		}
 	}
@@ -44,6 +61,27 @@ func writeClusterFile(t *testing.T, dir string, lat, lon, steps int) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// sameValues compares by bit pattern, any NaN equal to any NaN: which
+// of two NaNs an addition returns is the register allocator's choice,
+// and a shard merge adds in another function than an engine does.
+func sameValues(got, want [][]float32) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for r := range want {
+		if len(got[r]) != len(want[r]) {
+			return false
+		}
+		for i, w := range want[r] {
+			g := got[r][i]
+			if math.Float32bits(g) != math.Float32bits(w) && (g == g || w == w) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func mustDispatch(t *testing.T, d cubeserver.Dispatcher, req *cubeserver.Request) *cubeserver.Response {
@@ -93,7 +131,10 @@ func clusterRun(t *testing.T, cl *Cluster, paths []string, pipe []cubeserver.Pip
 // trailing-aggregation chain) on 1/2/4/8 shards and demands byte
 // equality with a plain engine.
 func TestClusterPipelineEquivalence(t *testing.T) {
-	path := writeClusterFile(t, t.TempDir(), 8, 4, 16)
+	paths := []string{
+		writeClusterFile(t, t.TempDir(), 8, 4, 16),
+		writeClusterFileLaced(t, t.TempDir(), 8, 4, 16, true),
+	}
 	pipelines := map[string][]cubeserver.PipelineStep{
 		"heatwave": {
 			{Op: "apply", Expr: "x*2"},
@@ -113,14 +154,29 @@ func TestClusterPipelineEquivalence(t *testing.T) {
 			{Op: "reduce", RowOp: "count_above", Params: []float64{9}},
 			{Op: "aggrows", RowOp: "sum"},
 		},
+		"listing1": {
+			{Op: "reducegroup", RowOp: "max", Group: 4},
+			{Op: "reduce", RowOp: "count_runs_above", Params: []float64{8, 2}},
+			{Op: "aggrows", RowOp: "avg"},
+		},
+		"coldest": {
+			{Op: "reducestride", RowOp: "min", Group: 4},
+			{Op: "aggrows", RowOp: "min"},
+		},
+		"fallback-std": {
+			{Op: "reducegroup", RowOp: "longest_run_below", Group: 8, Params: []float64{6}},
+			{Op: "aggrows", RowOp: "std"},
+		},
 	}
 	for name, pipe := range pipelines {
-		want := engineRef(t, []string{path}, pipe)
-		for _, shards := range []int{1, 2, 4, 8} {
-			cl := localCluster(t, shards, 1)
-			got := clusterRun(t, cl, []string{path}, pipe)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s on %d shards diverged:\ngot  %v\nwant %v", name, shards, got, want)
+		for pi, path := range paths {
+			want := engineRef(t, []string{path}, pipe)
+			for _, shards := range []int{1, 2, 4, 8} {
+				cl := localCluster(t, shards, 1)
+				got := clusterRun(t, cl, []string{path}, pipe)
+				if !sameValues(got, want) {
+					t.Fatalf("%s on %d shards (file %d) diverged:\ngot  %v\nwant %v", name, shards, pi, got, want)
+				}
 			}
 		}
 	}
@@ -130,19 +186,21 @@ func TestClusterPipelineEquivalence(t *testing.T) {
 // no partial merge, so the barrier must gather columns (counted) and
 // still match the engine bit for bit.
 func TestClusterAggRowsFallback(t *testing.T) {
-	path := writeClusterFile(t, t.TempDir(), 8, 2, 12)
-	pipe := []cubeserver.PipelineStep{
-		{Op: "apply", Expr: "x+1"},
-		{Op: "aggrows", RowOp: "quantile", Params: []float64{0.75}},
-	}
-	want := engineRef(t, []string{path}, pipe)
-	cl := localCluster(t, 4, 1)
-	got := clusterRun(t, cl, []string{path}, pipe)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("quantile fallback diverged:\ngot  %v\nwant %v", got, want)
-	}
-	if cl.met.mergeFB.Value() != 1 {
-		t.Fatalf("merge fallback counter = %v, want 1", cl.met.mergeFB.Value())
+	for _, lace := range []bool{false, true} {
+		path := writeClusterFileLaced(t, t.TempDir(), 8, 2, 12, lace)
+		pipe := []cubeserver.PipelineStep{
+			{Op: "apply", Expr: "x+1"},
+			{Op: "aggrows", RowOp: "quantile", Params: []float64{0.75}},
+		}
+		want := engineRef(t, []string{path}, pipe)
+		cl := localCluster(t, 4, 1)
+		got := clusterRun(t, cl, []string{path}, pipe)
+		if !sameValues(got, want) {
+			t.Fatalf("quantile fallback (laced %v) diverged:\ngot  %v\nwant %v", lace, got, want)
+		}
+		if cl.met.mergeFB.Value() != 1 {
+			t.Fatalf("merge fallback counter = %v, want 1", cl.met.mergeFB.Value())
+		}
 	}
 }
 

@@ -563,8 +563,9 @@ func (cl *Cluster) aggRowsEntry(cur *entry, op string, params []float64) (*entry
 		}
 		row = merged
 	} else {
-		rop, ok := datacube.LookupRowOp(op)
-		if !ok {
+		// an unknown op fails here, before a full gather is paid for
+		// and counted as a fallback
+		if _, ok := datacube.LookupRowOp(op); !ok {
 			return nil, fmt.Errorf("datacube: unknown row op %q", op)
 		}
 		cl.met.mergeFB.Inc()
@@ -572,13 +573,8 @@ func (cl *Cluster) aggRowsEntry(cur *entry, op string, params []float64) (*entry
 		if err != nil {
 			return nil, err
 		}
-		row = make([]float32, n)
-		col := make([]float32, len(vals))
-		for t := 0; t < n; t++ {
-			for r := range vals {
-				col[r] = vals[r][t]
-			}
-			row[t] = float32(rop(col, params))
+		if row, err = datacube.ReduceColumns(op, params, vals); err != nil {
+			return nil, err
 		}
 	}
 

@@ -222,7 +222,11 @@ func (d *wireDec) bool() bool {
 	}
 	v := d.b[d.off]
 	d.off++
-	return v != 0
+	if v > 1 { // would re-encode as 0x01: not a byte this codec writes
+		d.fail()
+		return false
+	}
+	return v == 1
 }
 
 func (d *wireDec) f64() float64 { return math.Float64frombits(d.u64()) }

@@ -447,6 +447,29 @@ func TestClientCloseConcurrentSafe(t *testing.T) {
 	}
 }
 
+// nonCanonicalBool is a request body whose one Keep flag is the byte
+// 0x02: once decoded as true it re-encoded as 0x01, so an accepted
+// frame did not round-trip.
+func nonCanonicalBool() []byte {
+	req := &Request{Op: "pipeline", Pipeline: []PipelineStep{{Op: "apply", Expr: "x", Keep: true}}}
+	body := AppendRequestV2(nil, req)
+	req.Pipeline[0].Keep = false
+	for i, b := range AppendRequestV2(nil, req) {
+		if b != body[i] {
+			body[i] = 0x02
+			break
+		}
+	}
+	return body
+}
+
+func TestWireRejectsNonCanonicalBool(t *testing.T) {
+	var req Request
+	if err := DecodeRequestV2(nonCanonicalBool(), &req); err == nil {
+		t.Fatal("a bool byte of 0x02 decoded; the codec only writes 0x00 and 0x01")
+	}
+}
+
 // FuzzWireFrame throws arbitrary bytes at both v2 body decoders and at
 // the frame reader; nothing may panic, and whatever decodes must
 // re-encode to a byte-identical body (round-trip stability).
@@ -461,6 +484,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	// A frame header claiming more than the body delivers.
 	f.Add(finishFrame(append(beginFrame(nil, frameRequest, 7), 0xba, 0xad)))
+	f.Add(nonCanonicalBool())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request

@@ -212,7 +212,7 @@ func (c *Cube) Reduce(op string, params ...float64) (*Cube, error) {
 // 6-hourly steps into daily statistics. The implicit size must be a
 // multiple of group.
 func (c *Cube) ReduceGroup(op string, group int, params ...float64) (*Cube, error) {
-	rop, ok := LookupRowOp(op)
+	kern, ok := bindRowKernel[float32](op, params)
 	if !ok {
 		return nil, fmt.Errorf("datacube: unknown row op %q (have %v)", op, RowOpNames())
 	}
@@ -225,11 +225,7 @@ func (c *Cube) ReduceGroup(op string, group int, params ...float64) (*Cube, erro
 	out.measure = c.measure
 	err := e.mapFragments("reduce", out, func(fr *fragment) error {
 		for r := 0; r < fr.rowCount; r++ {
-			src := c.rowSlice(fr.rowStart + r)
-			dst := fr.data[r*outLen : (r+1)*outLen]
-			for gidx := 0; gidx < outLen; gidx++ {
-				dst[gidx] = float32(rop(src[gidx*group:(gidx+1)*group], params))
-			}
+			kern(fr.data[r*outLen:(r+1)*outLen], c.rowSlice(fr.rowStart+r), group)
 		}
 		e.addCells(int64(fr.rowCount * c.implicit.Size))
 		return nil
@@ -248,7 +244,7 @@ func (c *Cube) ReduceGroup(op string, group int, params ...float64) (*Cube, erro
 // statistic across years — the percentile-climatology primitive of the
 // ETCCDI indices the paper cites for wave definitions.
 func (c *Cube) ReduceStride(op string, stride int, params ...float64) (*Cube, error) {
-	rop, ok := LookupRowOp(op)
+	kern, ok := bindRowKernel[float32](op, params)
 	if !ok {
 		return nil, fmt.Errorf("datacube: unknown row op %q (have %v)", op, RowOpNames())
 	}
@@ -260,25 +256,11 @@ func (c *Cube) ReduceStride(op string, stride int, params ...float64) (*Cube, er
 	out := e.newCube(c.explicit, Dimension{Name: c.implicit.Name, Size: stride})
 	out.measure = c.measure
 	err := e.mapFragments("reducestride", out, func(fr *fragment) error {
-		// One sequential pass over src per row transposes all groups into
-		// contiguous runs; the old layout gathered each output position
-		// with stride-sized jumps, re-streaming the row `stride` times
-		// and thrashing the cache for wide strides (e.g. 365-day years).
 		sb := e.getScratch(c.implicit.Size)
 		defer e.putScratch(sb)
-		tb := sb.buf
 		for r := 0; r < fr.rowCount; r++ {
-			src := c.rowSlice(fr.rowStart + r)
-			dst := fr.data[r*stride : (r+1)*stride]
-			for gidx := 0; gidx < groups; gidx++ {
-				base := gidx * stride
-				for k := 0; k < stride; k++ {
-					tb[k*groups+gidx] = src[base+k]
-				}
-			}
-			for k := 0; k < stride; k++ {
-				dst[k] = float32(rop(tb[k*groups:(k+1)*groups], params))
-			}
+			transposeStride(sb.buf, c.rowSlice(fr.rowStart+r), stride)
+			kern(fr.data[r*stride:(r+1)*stride], sb.buf, groups)
 		}
 		e.addCells(int64(fr.rowCount * c.implicit.Size))
 		return nil
@@ -288,6 +270,21 @@ func (c *Cube) ReduceStride(op string, stride int, params ...float64) (*Cube, er
 	}
 	e.ops.Add(1)
 	return e.register(out, fmt.Sprintf("reducestride(%s,%d)", op, stride)), nil
+}
+
+// transposeStride regroups one row for a strided reduction: the values
+// at positions k, k+stride, k+2·stride, … become the k-th contiguous
+// group of dst. One sequential pass over src; gathering each output
+// position with stride-sized jumps instead re-streams the row `stride`
+// times and thrashes the cache for wide strides (e.g. 365-day years).
+func transposeStride(dst, src []float32, stride int) {
+	groups := len(src) / stride
+	for g := 0; g < groups; g++ {
+		base := g * stride
+		for k := 0; k < stride; k++ {
+			dst[k*groups+g] = src[base+k]
+		}
+	}
 }
 
 // Subset selects the half-open range [lo,hi) along the implicit axis —
@@ -365,12 +362,7 @@ func (c *Cube) Intercube(o *Cube, op string) (*Cube, error) {
 	err = e.mapFragments("intercube", out, func(fr *fragment) error {
 		for r := 0; r < fr.rowCount; r++ {
 			row := fr.rowStart + r
-			a := c.rowSlice(row)
-			b := o.rowSlice(row)
-			dst := fr.data[r*n : (r+1)*n]
-			for t := range dst {
-				dst[t] = f(a[t], b[t])
-			}
+			f(fr.data[r*n:(r+1)*n], c.rowSlice(row), o.rowSlice(row))
 		}
 		e.addCells(int64(fr.rowCount * n))
 		return nil
@@ -382,13 +374,40 @@ func (c *Cube) Intercube(o *Cube, op string) (*Cube, error) {
 	return e.register(out, "intercube("+op+")"), nil
 }
 
+// columnTile bounds (in floats) the scratch a column reduction
+// transposes into. Measured on AggregateRows("avg") over 4608 × 360 in
+// two fragments (2304 rows each): 9.2 ms at 1<<14, where a tile is only
+// 7 positions — less than a cache line — of every row, 6.4 at 1<<15 and
+// 1<<16, 7.3 at 1<<17; at 256 rows per fragment all four read 7.3–7.9.
+const columnTile = 1 << 15
+
+// columnScratch sizes reduceColumns' scratch for w rows of n positions.
+func columnScratch(w, n int) int { return w * min(n, max(1, columnTile/w)) }
+
+// reduceColumns collapses w rows into one: dst[t] is the kernel's value
+// over row(0)[t] … row(w-1)[t], in that order. Rows are transposed tile
+// by tile into tb (columnScratch floats) so that every column becomes
+// one contiguous group and a whole tile is one kernel call.
+func reduceColumns[D float32 | float64](kern rowKernel[D], dst []D, w int, row func(int) []float32, tb []float32) {
+	tile := len(tb) / w
+	for t0 := 0; t0 < len(dst); t0 += tile {
+		t1 := min(t0+tile, len(dst))
+		for r := 0; r < w; r++ {
+			for k, v := range row(r)[t0:t1] {
+				tb[k*w+r] = v
+			}
+		}
+		kern(dst[t0:t1], tb[:(t1-t0)*w], w)
+	}
+}
+
 // AggregateTrailing collapses the trailing explicit dimension by
 // applying the named op across its positions at each implicit index:
 // on a (lat, lon) cube this yields zonal statistics per latitude, the
 // classic climate diagnostic. The cube must have at least two explicit
 // dimensions.
 func (c *Cube) AggregateTrailing(op string, params ...float64) (*Cube, error) {
-	rop, ok := LookupRowOp(op)
+	kern, ok := bindRowKernel[float32](op, params)
 	if !ok {
 		return nil, fmt.Errorf("datacube: unknown row op %q", op)
 	}
@@ -402,16 +421,13 @@ func (c *Cube) AggregateTrailing(op string, params ...float64) (*Cube, error) {
 	out := e.newCube(lead, c.implicit)
 	out.measure = c.measure
 	err := e.mapFragments("aggtrailing", out, func(fr *fragment) error {
-		col := make([]float32, trail.Size)
+		sb := e.getScratch(columnScratch(trail.Size, n))
+		defer e.putScratch(sb)
+		lo := 0 // first of the rows the current output row collapses
+		row := func(k int) []float32 { return c.rowSlice(lo + k) }
 		for r := 0; r < fr.rowCount; r++ {
-			group := fr.rowStart + r // index over the leading dims
-			dst := fr.data[r*n : (r+1)*n]
-			for t := 0; t < n; t++ {
-				for k := 0; k < trail.Size; k++ {
-					col[k] = c.rowSlice(group*trail.Size + k)[t]
-				}
-				dst[t] = float32(rop(col, params))
-			}
+			lo = (fr.rowStart + r) * trail.Size
+			reduceColumns(kern, fr.data[r*n:(r+1)*n], trail.Size, row, sb.buf)
 		}
 		e.addCells(int64(fr.rowCount * n * trail.Size))
 		return nil
@@ -426,7 +442,7 @@ func (c *Cube) AggregateTrailing(op string, params ...float64) (*Cube, error) {
 // AggregateRows collapses all rows into a single row by applying the
 // named op across rows at each implicit position (spatial aggregation).
 func (c *Cube) AggregateRows(op string, params ...float64) (*Cube, error) {
-	rop, ok := LookupRowOp(op)
+	kern, ok := bindRowKernel[float32](op, params)
 	if !ok {
 		return nil, fmt.Errorf("datacube: unknown row op %q", op)
 	}
@@ -434,15 +450,11 @@ func (c *Cube) AggregateRows(op string, params ...float64) (*Cube, error) {
 	n := c.implicit.Size
 	out := e.newCube([]Dimension{{Name: "all", Size: 1}}, c.implicit)
 	out.measure = c.measure
-	// gather column-wise; small output, do it on one server via mapFragments
+	// small output: one fragment, so one server does the whole collapse
 	err := e.mapFragments("aggrows", out, func(fr *fragment) error {
-		col := make([]float32, c.rows)
-		for t := 0; t < n; t++ {
-			for r := 0; r < c.rows; r++ {
-				col[r] = c.rowSlice(r)[t]
-			}
-			fr.data[t] = float32(rop(col, params))
-		}
+		sb := e.getScratch(columnScratch(c.rows, n))
+		defer e.putScratch(sb)
+		reduceColumns(kern, fr.data, c.rows, c.rowSlice, sb.buf)
 		e.addCells(int64(c.rows * n))
 		return nil
 	})

@@ -36,18 +36,36 @@ func rowLocalOp(op string) bool {
 	return false
 }
 
-// intercubeFunc resolves the elementwise arithmetic of oph_intercube;
-// shared by the eager operator and the fused compiler.
-func intercubeFunc(op string) (func(a, b float32) float32, error) {
+// intercubeFunc resolves the elementwise arithmetic of oph_intercube to
+// one loop per op over whole rows; shared by the eager operator, the
+// fused compiler and the tolerant pass. a and b are at least len(dst)
+// long.
+func intercubeFunc(op string) (func(dst, a, b []float32), error) {
 	switch op {
 	case "add":
-		return func(a, b float32) float32 { return a + b }, nil
+		return func(dst, a, b []float32) {
+			for t := range dst {
+				dst[t] = a[t] + b[t]
+			}
+		}, nil
 	case "sub":
-		return func(a, b float32) float32 { return a - b }, nil
+		return func(dst, a, b []float32) {
+			for t := range dst {
+				dst[t] = a[t] - b[t]
+			}
+		}, nil
 	case "mul":
-		return func(a, b float32) float32 { return a * b }, nil
+		return func(dst, a, b []float32) {
+			for t := range dst {
+				dst[t] = a[t] * b[t]
+			}
+		}, nil
 	case "div":
-		return func(a, b float32) float32 { return a / b }, nil
+		return func(dst, a, b []float32) {
+			for t := range dst {
+				dst[t] = a[t] / b[t]
+			}
+		}, nil
 	}
 	return nil, fmt.Errorf("datacube: unknown intercube op %q", op)
 }
@@ -76,27 +94,21 @@ func compileStage(st planStep, rows, inLen int) (stage, error) {
 		if st.op == "reduce" {
 			group = inLen
 		}
-		rop, ok := LookupRowOp(st.rowOp)
+		kern, ok := bindRowKernel[float32](st.rowOp, st.params)
 		if !ok {
 			return stage{}, fmt.Errorf("datacube: unknown row op %q (have %v)", st.rowOp, RowOpNames())
 		}
 		if group <= 0 || inLen%group != 0 {
 			return stage{}, fmt.Errorf("datacube: group %d does not divide implicit length %d", group, inLen)
 		}
-		outLen := inLen / group
-		params := st.params
 		return stage{
 			desc:  "reduce(" + st.rowOp + ",group=" + strconv.Itoa(group) + ")",
-			inLen: inLen, outLen: outLen, work: inLen,
-			run: func(dst, src, _ []float32, _ int) {
-				for g := 0; g < outLen; g++ {
-					dst[g] = float32(rop(src[g*group:(g+1)*group], params))
-				}
-			},
+			inLen: inLen, outLen: inLen / group, work: inLen,
+			run: func(dst, src, _ []float32, _ int) { kern(dst, src, group) },
 		}, nil
 	case "reducestride":
 		stride := st.group
-		rop, ok := LookupRowOp(st.rowOp)
+		kern, ok := bindRowKernel[float32](st.rowOp, st.params)
 		if !ok {
 			return stage{}, fmt.Errorf("datacube: unknown row op %q (have %v)", st.rowOp, RowOpNames())
 		}
@@ -104,22 +116,12 @@ func compileStage(st planStep, rows, inLen int) (stage, error) {
 			return stage{}, fmt.Errorf("datacube: stride %d does not divide implicit length %d", stride, inLen)
 		}
 		groups := inLen / stride
-		params := st.params
 		return stage{
 			desc:  "reducestride(" + st.rowOp + "," + strconv.Itoa(stride) + ")",
 			inLen: inLen, outLen: stride, scratch: inLen, work: inLen,
 			run: func(dst, src, ext []float32, _ int) {
-				// transpose with sequential reads so each group's values
-				// become contiguous, then reduce per output position
-				for g := 0; g < groups; g++ {
-					base := g * stride
-					for k := 0; k < stride; k++ {
-						ext[k*groups+g] = src[base+k]
-					}
-				}
-				for k := 0; k < stride; k++ {
-					dst[k] = float32(rop(ext[k*groups:(k+1)*groups], params))
-				}
+				transposeStride(ext[:inLen], src, stride)
+				kern(dst, ext[:inLen], groups)
 			},
 		}, nil
 	case "subset":
@@ -150,12 +152,7 @@ func compileStage(st planStep, rows, inLen int) (stage, error) {
 		return stage{
 			desc:  "intercube(" + st.rowOp + ")",
 			inLen: inLen, outLen: inLen, work: inLen,
-			run: func(dst, src, _ []float32, row int) {
-				b := other.rowSlice(row)
-				for t := range dst {
-					dst[t] = f(src[t], b[t])
-				}
-			},
+			run: func(dst, src, _ []float32, row int) { f(dst, src, other.rowSlice(row)) },
 		}, nil
 	}
 	return stage{}, fmt.Errorf("datacube: operator %q cannot run in a fused pass", st.op)
@@ -246,10 +243,11 @@ func (p *Plan) run(branches []*Plan) ([]*Cube, error) {
 		return nil, fmt.Errorf("datacube: empty plan")
 	}
 	x := &planExec{
-		e:       p.src.engine,
-		cur:     p.src,
-		pending: make([]stage, 0, len(p.steps)),
-		inLen:   p.src.implicit.Size,
+		e:            p.src.engine,
+		cur:          p.src,
+		pending:      make([]stage, 0, len(p.steps)),
+		pendingSteps: make([]planStep, 0, len(p.steps)),
+		inLen:        p.src.implicit.Size,
 	}
 
 	for i, st := range p.steps {

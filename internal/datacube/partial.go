@@ -133,7 +133,7 @@ func init() {
 // without registering a cube. float32(out[t]) equals the value
 // AggregateRows would store at position t.
 func (c *Cube) AggregateRowsPartial(op string, params ...float64) ([]float64, error) {
-	rop, ok := LookupRowOp(op)
+	kern, ok := bindRowKernel[float64](op, params)
 	if !ok {
 		return nil, fmt.Errorf("datacube: unknown row op %q", op)
 	}
@@ -149,15 +149,29 @@ func (c *Cube) AggregateRowsPartial(op string, params ...float64) ([]float64, er
 
 	n := c.implicit.Size
 	out := make([]float64, n)
-	col := make([]float32, c.rows)
-	for t := 0; t < n; t++ {
-		for r := 0; r < c.rows; r++ {
-			col[r] = c.rowSlice(r)[t]
-		}
-		out[t] = rop(col, params)
-	}
+	sb := e.getScratch(columnScratch(c.rows, n))
+	defer e.putScratch(sb)
+	reduceColumns(kern, out, c.rows, c.rowSlice, sb.buf)
 	e.addCells(int64(c.rows) * int64(n))
 	e.ops.Add(1)
+	return out, nil
+}
+
+// ReduceColumns is AggregateRows over rows already gathered in global
+// row order: out[t] is the named op across rows[0][t] … rows[len-1][t].
+// A cluster coordinator runs it for ops without a partial merge, so
+// that fallback is the engine's own kernel too.
+func ReduceColumns(op string, params []float64, rows [][]float32) ([]float32, error) {
+	kern, ok := bindRowKernel[float32](op, params)
+	if !ok {
+		return nil, fmt.Errorf("datacube: unknown row op %q", op)
+	}
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("datacube: no rows to reduce")
+	}
+	out := make([]float32, len(rows[0]))
+	tb := make([]float32, columnScratch(len(rows), len(out)))
+	reduceColumns(kern, out, len(rows), func(r int) []float32 { return rows[r] }, tb)
 	return out, nil
 }
 

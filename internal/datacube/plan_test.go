@@ -12,10 +12,21 @@ import (
 // with deterministic contents.
 func grid2Cube(t *testing.T, e *Engine, nlat, nlon, n int) *Cube {
 	t.Helper()
+	return gridCubeFrom(t, e, nlat, nlon, n, func(row, tt int) float32 { return float32((row*37+tt*5)%23) - 7.5 })
+}
+
+// lacedCube is grid2Cube over values laced with NaN, ±Inf, ±0 and
+// denormals (rowkernel_test.go), which every path must carry alike.
+func lacedCube(t *testing.T, e *Engine, nlat, nlon, n int) *Cube {
+	t.Helper()
+	return gridCubeFrom(t, e, nlat, nlon, n, laced)
+}
+
+func gridCubeFrom(t *testing.T, e *Engine, nlat, nlon, n int, f func(row, tt int) float32) *Cube {
+	t.Helper()
 	c, err := e.NewCubeFromFunc("seq2",
 		[]Dimension{{Name: "lat", Size: nlat}, {Name: "lon", Size: nlon}},
-		Dimension{Name: "time", Size: n},
-		func(row, tt int) float32 { return float32((row*37+tt*5)%23) - 7.5 })
+		Dimension{Name: "time", Size: n}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +339,17 @@ func divisorsOf(n int) []int {
 func genStep(t *testing.T, rng *rand.Rand, e *Engine, cur *Cube) randStep {
 	t.Helper()
 	exprs := []string{"x*2", "x+1", "x>3 ? 1 : 0", "abs(x)-2", "x/4"}
-	rops := []string{"max", "min", "sum", "avg"}
+	type rowOpCall struct {
+		name   string
+		params []float64
+	}
+	calls := []rowOpCall{{name: "max"}, {name: "min"}, {name: "sum"}, {name: "avg"}, {name: "std"},
+		{"count_above", []float64{1}}, {"count_below", []float64{0}},
+		{"longest_run_above", []float64{0}}, {"longest_run_below", []float64{2.5}},
+		{"count_runs_above", []float64{0, 2}}, {"count_runs_below", []float64{1, 1}},
+		{"quantile", []float64{0.5}}}
+	call := calls[rng.Intn(len(calls))]
+	op, params := call.name, call.params
 	width := cur.ImplicitLen()
 	for {
 		switch rng.Intn(10) {
@@ -339,26 +360,23 @@ func genStep(t *testing.T, rng *rand.Rand, e *Engine, cur *Cube) randStep {
 				eager:  func(c *Cube) (*Cube, error) { return c.Apply(ex) },
 			}
 		case 2:
-			op := rops[rng.Intn(len(rops))]
 			return randStep{
-				toPlan: func(p *Plan) *Plan { return p.Reduce(op) },
-				eager:  func(c *Cube) (*Cube, error) { return c.Reduce(op) },
+				toPlan: func(p *Plan) *Plan { return p.Reduce(op, params...) },
+				eager:  func(c *Cube) (*Cube, error) { return c.Reduce(op, params...) },
 			}
 		case 3:
 			divs := divisorsOf(width)
 			g := divs[rng.Intn(len(divs))]
-			op := rops[rng.Intn(len(rops))]
 			return randStep{
-				toPlan: func(p *Plan) *Plan { return p.ReduceGroup(op, g) },
-				eager:  func(c *Cube) (*Cube, error) { return c.ReduceGroup(op, g) },
+				toPlan: func(p *Plan) *Plan { return p.ReduceGroup(op, g, params...) },
+				eager:  func(c *Cube) (*Cube, error) { return c.ReduceGroup(op, g, params...) },
 			}
 		case 4:
 			divs := divisorsOf(width)
 			s := divs[rng.Intn(len(divs))]
-			op := rops[rng.Intn(len(rops))]
 			return randStep{
-				toPlan: func(p *Plan) *Plan { return p.ReduceStride(op, s) },
-				eager:  func(c *Cube) (*Cube, error) { return c.ReduceStride(op, s) },
+				toPlan: func(p *Plan) *Plan { return p.ReduceStride(op, s, params...) },
+				eager:  func(c *Cube) (*Cube, error) { return c.ReduceStride(op, s, params...) },
 			}
 		case 5:
 			if width < 2 {
@@ -379,27 +397,25 @@ func genStep(t *testing.T, rng *rand.Rand, e *Engine, cur *Cube) randStep {
 			if err != nil {
 				t.Fatal(err)
 			}
-			iops := []string{"add", "sub", "mul"}
+			iops := []string{"add", "sub", "mul", "div"}
 			op := iops[rng.Intn(len(iops))]
 			return randStep{
 				toPlan: func(p *Plan) *Plan { return p.Intercube(other, op) },
 				eager:  func(c *Cube) (*Cube, error) { return c.Intercube(other, op) },
 			}
 		case 7:
-			op := rops[rng.Intn(len(rops))]
 			return randStep{
-				toPlan: func(p *Plan) *Plan { return p.AggregateRows(op) },
-				eager:  func(c *Cube) (*Cube, error) { return c.AggregateRows(op) },
+				toPlan: func(p *Plan) *Plan { return p.AggregateRows(op, params...) },
+				eager:  func(c *Cube) (*Cube, error) { return c.AggregateRows(op, params...) },
 			}
 		case 8:
 			dims := cur.ExplicitDims()
 			if len(dims) < 2 {
 				continue
 			}
-			op := rops[rng.Intn(len(rops))]
 			return randStep{
-				toPlan: func(p *Plan) *Plan { return p.AggregateTrailing(op) },
-				eager:  func(c *Cube) (*Cube, error) { return c.AggregateTrailing(op) },
+				toPlan: func(p *Plan) *Plan { return p.AggregateTrailing(op, params...) },
+				eager:  func(c *Cube) (*Cube, error) { return c.AggregateTrailing(op, params...) },
 			}
 		case 9:
 			dims := cur.ExplicitDims()
@@ -420,7 +436,8 @@ func genStep(t *testing.T, rng *rand.Rand, e *Engine, cur *Cube) randStep {
 // TestPlanRandomChainsMatchEager drives ~200 seeded random operator
 // chains through Plan.Execute and step-by-step eager application and
 // requires bitwise-identical outputs, correct Keep materialization
-// counts, and no leaked intermediates.
+// counts, and no leaked intermediates; every chain then runs a second
+// time over a copy of its source laced with special values.
 func TestPlanRandomChainsMatchEager(t *testing.T) {
 	e := NewEngine(Config{Servers: 3, FragmentsPerCube: 4})
 	defer e.Close()
@@ -493,14 +510,14 @@ func TestPlanRandomChainsMatchEager(t *testing.T) {
 		// tier-aware replays of the same chain (without Keep marks):
 		// Tolerance(0) must stay bit-identical to the eager reference, and
 		// Tolerance(eps>0) must satisfy the declared bound.
-		replay := func() *Plan {
-			p := src.Lazy()
+		replay := func(from *Cube) *Plan {
+			p := from.Lazy()
 			for _, st := range chain {
 				p = st.toPlan(p)
 			}
 			return p
 		}
-		got0, err := replay().Tolerance(0).Execute()
+		got0, err := replay(src).Tolerance(0).Execute()
 		if err != nil {
 			t.Fatalf("case %d: Tolerance(0) replay: %v", cases, err)
 		}
@@ -508,12 +525,45 @@ func TestPlanRandomChainsMatchEager(t *testing.T) {
 		_ = got0.Delete()
 
 		eps := []float64{0.05, 0.5}[rng.Intn(2)]
-		gotE, err := replay().Tolerance(eps).Execute()
+		gotE, err := replay(src).Tolerance(eps).Execute()
 		if err != nil {
 			t.Fatalf("case %d: Tolerance(%g) replay: %v", cases, eps, err)
 		}
 		requireToleranceBound(t, gotE, eagerCur, eps)
 		_ = gotE.Delete()
+
+		// The same chain once more over a laced copy of the source: fused,
+		// eager and Tolerance(0) must carry the special values alike. The
+		// ε > 0 bound is not checked on this copy, only that the pass runs:
+		// a coarse block whose mean is NaN gets the zero-width interval a
+		// counting op returns for NaN bounds and is accepted (ROADMAP
+		// item 10).
+		lsrc := lacedCube(t, e, nlat, nlon, width)
+		lcur := lsrc
+		for s, st := range chain {
+			next, err := st.eager(lcur)
+			if err != nil {
+				t.Fatalf("case %d step %d: laced eager: %v", cases, s, err)
+			}
+			if lcur != lsrc {
+				eagerTemps = append(eagerTemps, lcur)
+			}
+			lcur = next
+		}
+		for _, p := range []*Plan{replay(lsrc), replay(lsrc).Tolerance(0)} {
+			lgot, err := p.Execute()
+			if err != nil {
+				t.Fatalf("case %d: laced replay: %v", cases, err)
+			}
+			requireSameCube(t, fmt.Sprintf("case %d laced", cases), lgot, lcur)
+			_ = lgot.Delete()
+		}
+		lgotE, err := replay(lsrc).Tolerance(eps).Execute()
+		if err != nil {
+			t.Fatalf("case %d: laced Tolerance(%g) replay: %v", cases, eps, err)
+		}
+		_ = lgotE.Delete()
+		eagerTemps = append(eagerTemps, lcur, lsrc)
 
 		// free everything this case created and verify the engine is back
 		// to its pre-case population

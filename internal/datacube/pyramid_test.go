@@ -327,6 +327,10 @@ func TestEvalIntervalSoundness(t *testing.T) {
 	}
 }
 
+// TestRowOpIntervalSoundness checks the interval form the tolerant pass
+// runs (compileIReduce: kernel calls on the corner rows for a monotone
+// built-in, the registered RowIvalFunc otherwise) and the registered form
+// LookupRowOpInterval hands to external callers against the op itself.
 func TestRowOpIntervalSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ops := []struct {
@@ -348,6 +352,10 @@ func TestRowOpIntervalSoundness(t *testing.T) {
 		if !ok {
 			t.Fatalf("interval form for %s missing", tc.name)
 		}
+		reduce, ok := compileIReduce(planStep{rowOp: tc.name, params: tc.params})
+		if !ok {
+			t.Fatalf("compiled interval form for %s missing", tc.name)
+		}
 		for trial := 0; trial < 300; trial++ {
 			n := 1 + rng.Intn(12)
 			lo := make([]float32, n)
@@ -364,6 +372,18 @@ func TestRowOpIntervalSoundness(t *testing.T) {
 			if v < bl-1e-9 || v > bh+1e-9 {
 				t.Fatalf("%s trial %d: op=%g outside [%g,%g]\nlo=%v\nhi=%v\nrow=%v",
 					tc.name, trial, v, bl, bh, lo, hi, row)
+			}
+			// the compiled form rounds mid and bounds to float32 alike;
+			// rounding is monotone, so the 1e-9 of slack above is at most
+			// one float32 step here
+			var m, cl, ch [1]float32
+			reduce(m[:], cl[:], ch[:], row, lo, hi, n)
+			if m[0] != float32(v) {
+				t.Fatalf("%s trial %d: compiled midpoint %g, op %g", tc.name, trial, m[0], v)
+			}
+			if m[0] < math.Nextafter32(cl[0], float32(math.Inf(-1))) || m[0] > math.Nextafter32(ch[0], float32(math.Inf(1))) {
+				t.Fatalf("%s trial %d: compiled op=%g outside [%g,%g]\nlo=%v\nhi=%v\nrow=%v",
+					tc.name, trial, m[0], cl[0], ch[0], lo, hi, row)
 			}
 		}
 	}

@@ -13,35 +13,56 @@ import (
 // without one forces that pass back to exact execution.
 type RowIvalFunc func(lo, hi []float32, params []float64) (float64, float64)
 
+// rowIval is one registry entry. dir marks a built-in op that is its
+// own interval form on the corner rows (+1 nondecreasing, −1
+// nonincreasing): the tolerant pass bounds those with two kernel calls
+// per row instead of one f call per group (compileIReduce).
+type rowIval struct {
+	f   RowIvalFunc
+	dir int
+}
+
 var (
 	rowIvalsMu sync.RWMutex
-	rowIvals   = map[string]RowIvalFunc{}
+	rowIvals   = map[string]rowIval{}
 )
 
 // RegisterRowOpInterval installs the interval form of a named row op.
 // The form must be sound: for every row r with lo[t] <= r[t] <= hi[t],
 // the returned (a, b) must satisfy a <= op(r) <= b.
 func RegisterRowOpInterval(name string, f RowIvalFunc) error {
+	return registerRowIval(name, rowIval{f: f})
+}
+
+func registerRowIval(name string, iv rowIval) error {
 	rowIvalsMu.Lock()
 	defer rowIvalsMu.Unlock()
 	if _, dup := rowIvals[name]; dup {
 		return fmt.Errorf("datacube: row op interval %q already registered", name)
 	}
-	rowIvals[name] = f
+	rowIvals[name] = iv
 	return nil
 }
 
 // LookupRowOpInterval returns the interval form of a named row op.
 func LookupRowOpInterval(name string) (RowIvalFunc, bool) {
+	iv, ok := lookupRowIval(name)
+	return iv.f, ok
+}
+
+func lookupRowIval(name string) (rowIval, bool) {
 	rowIvalsMu.RLock()
 	defer rowIvalsMu.RUnlock()
-	f, ok := rowIvals[name]
-	return f, ok
+	iv, ok := rowIvals[name]
+	return iv, ok
 }
 
 // MonotoneInterval wraps a row op that is nondecreasing in every
 // coordinate (max, sum, count_above, ...): its image over a box is
-// bracketed by evaluating the corner rows (op(lo), op(hi)).
+// bracketed by evaluating the corner rows (op(lo), op(hi)). Meant for
+// ops installed through RegisterRowOp: over a LookupRowOp view of a
+// built-in it pays that view's per-call binding twice per group (the
+// tolerant pass bounds built-ins by kernel calls instead).
 func MonotoneInterval(op RowOp) RowIvalFunc {
 	return func(lo, hi []float32, params []float64) (float64, float64) {
 		return op(lo, params), op(hi, params)
@@ -62,20 +83,17 @@ func init() {
 			panic(err)
 		}
 	}
-	mono := func(name string) {
+	corners := func(name string, wrap func(RowOp) RowIvalFunc, dir int) {
 		op, ok := LookupRowOp(name)
 		if !ok {
 			panic("datacube: interval for unregistered row op " + name)
 		}
-		must(name, MonotoneInterval(op))
-	}
-	anti := func(name string) {
-		op, ok := LookupRowOp(name)
-		if !ok {
-			panic("datacube: interval for unregistered row op " + name)
+		if err := registerRowIval(name, rowIval{f: wrap(op), dir: dir}); err != nil {
+			panic(err)
 		}
-		must(name, AntitoneInterval(op))
 	}
+	mono := func(name string) { corners(name, MonotoneInterval, 1) }
+	anti := func(name string) { corners(name, AntitoneInterval, -1) }
 	// Nondecreasing in every coordinate: raising any value can only
 	// raise the statistic. quantile qualifies because order statistics
 	// and their linear interpolation are coordinate-monotone.

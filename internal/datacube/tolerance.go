@@ -73,57 +73,30 @@ func compileIStage(st planStep, src *Cube, inLen, levels int) (istage, bool) {
 		if st.op == "reduce" {
 			group = inLen
 		}
-		rop, ok := LookupRowOp(st.rowOp)
+		reduce, ok := compileIReduce(st)
 		if !ok {
 			return istage{}, false
 		}
-		ivf, ok := LookupRowOpInterval(st.rowOp)
-		if !ok {
-			return istage{}, false
-		}
-		outLen := inLen / group
-		params := st.params
 		return istage{
-			outLen: outLen,
+			outLen: inLen / group,
 			run: func(dstM, dstLo, dstHi, srcM, srcLo, srcHi, _ []float32, _, _ int) {
-				for g := 0; g < outLen; g++ {
-					a, b := g*group, (g+1)*group
-					dstM[g] = float32(rop(srcM[a:b], params))
-					lo, hi := ivf(srcLo[a:b], srcHi[a:b], params)
-					dstLo[g], dstHi[g] = float32(lo), float32(hi)
-				}
+				reduce(dstM, dstLo, dstHi, srcM, srcLo, srcHi, group)
 			},
 		}, true
 	case "reducestride":
 		stride := st.group
-		rop, ok := LookupRowOp(st.rowOp)
+		reduce, ok := compileIReduce(st)
 		if !ok {
 			return istage{}, false
 		}
-		ivf, ok := LookupRowOpInterval(st.rowOp)
-		if !ok {
-			return istage{}, false
-		}
-		groups := inLen / stride
-		params := st.params
 		return istage{
 			outLen: stride, scratch: 3 * inLen,
 			run: func(dstM, dstLo, dstHi, srcM, srcLo, srcHi, ext []float32, _, _ int) {
 				tm, tl, th := ext[:inLen], ext[inLen:2*inLen], ext[2*inLen:3*inLen]
-				for g := 0; g < groups; g++ {
-					base := g * stride
-					for k := 0; k < stride; k++ {
-						tm[k*groups+g] = srcM[base+k]
-						tl[k*groups+g] = srcLo[base+k]
-						th[k*groups+g] = srcHi[base+k]
-					}
-				}
-				for k := 0; k < stride; k++ {
-					a, b := k*groups, (k+1)*groups
-					dstM[k] = float32(rop(tm[a:b], params))
-					lo, hi := ivf(tl[a:b], th[a:b], params)
-					dstLo[k], dstHi[k] = float32(lo), float32(hi)
-				}
+				transposeStride(tm, srcM, stride)
+				transposeStride(tl, srcLo, stride)
+				transposeStride(th, srcHi, stride)
+				reduce(dstM, dstLo, dstHi, tm, tl, th, inLen/stride)
 			},
 		}, true
 	case "subset":
@@ -159,8 +132,8 @@ func compileIStage(st planStep, src *Cube, inLen, levels int) (istage, bool) {
 				ot := &otiers[level-1]
 				bm := ot.mean[crow*inLen : (crow+1)*inLen]
 				sp := ot.spread[crow]
+				f(dstM, srcM, bm)
 				for t := range srcM {
-					dstM[t] = f(srcM[t], bm[t])
 					blo, bhi := float64(bm[t]-sp), float64(bm[t]+sp)
 					lo, hi := iv(float64(srcLo[t]), float64(srcHi[t]), blo, bhi)
 					dstLo[t], dstHi[t] = float32(lo), float32(hi)
@@ -169,6 +142,39 @@ func compileIStage(st planStep, src *Cube, inLen, levels int) (istage, bool) {
 		}, true
 	}
 	return istage{}, false
+}
+
+// compileIReduce binds a reduction step's kernel and interval form to
+// one function over the (mid, lo, hi) rows. A built-in monotone op is
+// its own interval form on the corner rows (rowIval.dir): three kernel
+// calls; any other op bounds each group through its registered
+// RowIvalFunc.
+func compileIReduce(st planStep) (func(dstM, dstLo, dstHi, srcM, srcLo, srcHi []float32, group int), bool) {
+	kern, ok := bindRowKernel[float32](st.rowOp, st.params)
+	if !ok {
+		return nil, false
+	}
+	iv, ok := lookupRowIval(st.rowOp)
+	if !ok {
+		return nil, false
+	}
+	params := st.params
+	return func(dstM, dstLo, dstHi, srcM, srcLo, srcHi []float32, group int) {
+		kern(dstM, srcM, group)
+		switch iv.dir {
+		case 1:
+			kern(dstLo, srcLo, group)
+			kern(dstHi, srcHi, group)
+		case -1:
+			kern(dstLo, srcHi, group)
+			kern(dstHi, srcLo, group)
+		default:
+			for g := range dstM {
+				lo, hi := iv.f(srcLo[g*group:(g+1)*group], srcHi[g*group:(g+1)*group], params)
+				dstLo[g], dstHi[g] = float32(lo), float32(hi)
+			}
+		}
+	}, true
 }
 
 // compileIChain compiles a run of steps to interval stages, mirroring
