@@ -106,7 +106,8 @@ chaos:
 # opt-in short fuzz pass over the binary-format parsers and the
 # tiered-plan equivalence harness
 fuzz-short:
-	$(GO) test -fuzz=FuzzRead -fuzztime=10s -run=FuzzRead ./internal/ncdf/
+	$(GO) test -fuzz='^FuzzRead$$' -fuzztime=10s -run='^FuzzRead$$' ./internal/ncdf/
+	$(GO) test -fuzz='^FuzzReadVarRange$$' -fuzztime=10s -run='^FuzzReadVarRange$$' ./internal/ncdf/
 	$(GO) test -fuzz=FuzzCompile -fuzztime=10s -run=FuzzCompile ./internal/datacube/
 	$(GO) test -fuzz=FuzzPlan -fuzztime=10s -run=FuzzPlan ./internal/datacube/
 	$(GO) test -fuzz=FuzzRowKernel -fuzztime=10s -run=FuzzRowKernel ./internal/datacube/

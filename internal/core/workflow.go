@@ -771,15 +771,16 @@ func loadTCFields(files []string, g grid.Grid) ([]stepFields, error) {
 	return out, nil
 }
 
-// readDayVars reads one daily file's TC variables.
+// readDayVars reads one daily file's TC variables with one open and
+// one header parse, into one backing array.
 func readDayVars(path string) (map[string][]float32, error) {
+	vals, err := ncdf.ReadVarsFile(path, tcVars)
+	if err != nil {
+		return nil, err
+	}
 	perVar := make(map[string][]float32, len(tcVars))
-	for _, v := range tcVars {
-		_, vv, err := ncdf.ReadVariableFile(path, v)
-		if err != nil {
-			return nil, err
-		}
-		perVar[v] = vv.Data
+	for i, v := range tcVars {
+		perVar[v] = vals[i]
 	}
 	return perVar, nil
 }

@@ -57,8 +57,9 @@ type Request struct {
 	Path       string // export target (server-side path)
 
 	// Shard/Shards select this server's slice of the leading explicit
-	// dimension for importshard: the server imports the files and keeps
-	// rows [Shard·L/Shards, (Shard+1)·L/Shards) of the leading dim.
+	// dimension for importshard: the server imports only rows
+	// [Shard·L/Shards, (Shard+1)·L/Shards) of the leading dim, reading
+	// just their bytes (datacube.Engine.ImportShard).
 	Shard, Shards int
 
 	// Values and Dims materialize a cube directly (Op "putcube"): Values
@@ -592,7 +593,7 @@ func (s *engineDispatcher) Dispatch(req *Request) *Response {
 		}
 		resp.Shape = shapeOf(c)
 	case "importshard":
-		c, found, err := importShard(s.engine, req)
+		c, found, err := s.engine.ImportShard(req.Paths, req.Var, req.ImplicitDim, req.Shard, req.Shards)
 		if err != nil {
 			return fail(err)
 		}
@@ -633,43 +634,6 @@ func putCube(engine *datacube.Engine, req *Request) (*datacube.Cube, error) {
 	return engine.NewCubeFromFunc(req.Var, req.Dims,
 		datacube.Dimension{Name: implicit, Size: width},
 		func(row, t int) float32 { return req.Values[row][t] })
-}
-
-// importShard imports files and keeps only this shard's contiguous
-// slice of the leading explicit dimension — rows
-// [Shard·L/Shards, (Shard+1)·L/Shards). Rowless cubes (no explicit
-// dims) cannot be split; they land whole on shard 0 and found=false
-// everywhere else. found=false is also returned for an empty slice
-// (more shards than leading-dim entries).
-func importShard(engine *datacube.Engine, req *Request) (*datacube.Cube, bool, error) {
-	if req.Shards <= 0 || req.Shard < 0 || req.Shard >= req.Shards {
-		return nil, false, fmt.Errorf("cubeserver: importshard shard %d of %d out of range", req.Shard, req.Shards)
-	}
-	full, err := engine.ImportFiles(req.Paths, req.Var, req.ImplicitDim)
-	if err != nil {
-		return nil, false, err
-	}
-	dims := full.ExplicitDims()
-	if len(dims) == 0 {
-		if req.Shard == 0 {
-			return full, true, nil
-		}
-		_ = full.Delete()
-		return nil, false, nil
-	}
-	l := dims[0].Size
-	lo, hi := req.Shard*l/req.Shards, (req.Shard+1)*l/req.Shards
-	if lo >= hi {
-		_ = full.Delete()
-		return nil, false, nil
-	}
-	part, err := full.SubsetRows(lo, hi)
-	if err != nil {
-		_ = full.Delete()
-		return nil, false, err
-	}
-	_ = full.Delete()
-	return part, true, nil
 }
 
 // Client is a connection to a Server. It is safe for concurrent use.

@@ -400,7 +400,7 @@ func (d *residentDispatcher) rebuild(req *Request) (*datacube.Cube, error) {
 	case "importfiles":
 		return d.engine.ImportFiles(req.Paths, req.Var, req.ImplicitDim)
 	case "importshard":
-		c, found, err := importShard(d.engine, req)
+		c, found, err := d.engine.ImportShard(req.Paths, req.Var, req.ImplicitDim, req.Shard, req.Shards)
 		if err != nil {
 			return nil, err
 		}

@@ -461,118 +461,217 @@ func (e *Engine) ImportDataset(ds *ncdf.Dataset, varName, implicitDim string) (*
 	if err != nil {
 		return nil, err
 	}
-	shape, err := ds.Shape(v)
-	if err != nil {
-		return nil, err
-	}
-	impAxis := -1
-	var explicit []Dimension
-	for i, dn := range v.Dims {
-		if dn == implicitDim {
-			impAxis = i
-			continue
-		}
-		explicit = append(explicit, Dimension{Name: dn, Size: shape[i]})
-	}
-	if impAxis < 0 {
-		return nil, fmt.Errorf("datacube: variable %q has no dimension %q", varName, implicitDim)
-	}
-	implicit := Dimension{Name: implicitDim, Size: shape[impAxis]}
-	c := e.newCube(explicit, implicit)
-	c.measure = varName
-
-	// strides of the source layout
-	strides := make([]int, len(shape))
-	s := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		strides[i] = s
-		s *= shape[i]
-	}
-	// explicit axes in original order
-	var expAxes []int
-	for i := range v.Dims {
-		if i != impAxis {
-			expAxes = append(expAxes, i)
-		}
-	}
-	err = e.mapFragments("import", c, func(fr *fragment) error {
-		n := implicit.Size
-		idx := make([]int, len(expAxes))
-		for r := 0; r < fr.rowCount; r++ {
-			row := fr.rowStart + r
-			// decompose row into explicit indices (row-major)
-			rem := row
-			for k := len(expAxes) - 1; k >= 0; k-- {
-				sz := shape[expAxes[k]]
-				idx[k] = rem % sz
-				rem /= sz
-			}
-			base := 0
-			for k, ax := range expAxes {
-				base += idx[k] * strides[ax]
-			}
-			st := strides[impAxis]
-			for t := 0; t < n; t++ {
-				fr.data[r*n+t] = v.Data[base+t*st]
-			}
-		}
-		e.addCells(int64(fr.rowCount * n))
+	src, err := newImportSrc(ds, v, len(v.Data), implicitDim, func(off int, dst []float32) error {
+		copy(dst, v.Data[off:])
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.ops.Add(1)
-	return e.register(c, "importds("+varName+")"), nil
+	c, _, err := e.importSrcs([]importSrc{src}, varName, implicitDim, 0, 1)
+	return c, err
 }
 
 // ImportFile loads one variable from a GNC1 file (one storage read).
 func (e *Engine) ImportFile(path, varName, implicitDim string) (*Cube, error) {
-	ds, v, err := ncdf.ReadVariableFile(path, varName)
-	if err != nil {
-		return nil, err
-	}
-	e.fileReads.Add(1)
-	e.met.fileReads.Inc()
-	// Rebuild a minimal dataset holding just this variable.
-	sub := ncdf.NewDataset()
-	for _, d := range ds.Dims {
-		if err := sub.AddDim(d.Name, d.Len); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := sub.AddVar(v.Name, v.Dims, v.Data); err != nil {
-		return nil, err
-	}
-	return e.ImportDataset(sub, varName, implicitDim)
+	return e.ImportFiles([]string{path}, varName, implicitDim)
 }
 
 // ImportFiles loads the same variable from several files (e.g. one
-// year of daily ESM output) and concatenates along the implicit
-// dimension, producing one cube whose rows are grid cells and whose
-// in-row arrays are the full-period time series.
+// year of daily ESM output) concatenated along the implicit dimension,
+// producing one cube whose rows are grid cells and whose in-row arrays
+// are the full-period time series.
 func (e *Engine) ImportFiles(paths []string, varName, implicitDim string) (*Cube, error) {
+	c, _, err := e.ImportShard(paths, varName, implicitDim, 0, 1)
+	return c, err
+}
+
+// ImportShard imports shard `shard` of `shards`: rows [shard·L/shards,
+// (shard+1)·L/shards) of the leading explicit dimension, of length L.
+// A variable without explicit dimensions cannot be split; it lands
+// whole on shard 0, and found=false everywhere else, as for an empty
+// slice (more shards than L).
+//
+// Every import is one copy: the headers size the cube once, and each
+// file's values are decoded straight into its slot of the implicit
+// axis, reading only the bytes of the rows kept. Each file is opened
+// once and counts as one storage read once its variable is found.
+//
+// All of an import's files stay open until it returns, so one import
+// holds one descriptor per path, and imports running at once add up: a
+// year of daily files on four in-process shards holds 4 × 365. The Go
+// runtime raises the soft RLIMIT_NOFILE to the hard limit at start;
+// the process needs that limit to cover its concurrent imports.
+func (e *Engine) ImportShard(paths []string, varName, implicitDim string, shard, shards int) (*Cube, bool, error) {
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("datacube: no files to import")
+		return nil, false, fmt.Errorf("datacube: no files to import")
 	}
-	parts := make([]*Cube, 0, len(paths))
-	defer func() {
-		for _, p := range parts {
-			_ = e.Delete(p.ID())
-		}
-	}()
+	srcs := make([]importSrc, 0, len(paths))
 	for _, p := range paths {
-		c, err := e.ImportFile(p, varName, implicitDim)
+		f, err := ncdf.Open(p)
 		if err != nil {
-			return nil, fmt.Errorf("datacube: import %s: %w", p, err)
+			return nil, false, fmt.Errorf("datacube: import %s: %w", p, err)
 		}
-		parts = append(parts, c)
+		defer f.Close()
+		v, i, n, err := f.Lookup(varName)
+		if err == nil {
+			e.fileReads.Add(1)
+			e.met.fileReads.Inc()
+			var s importSrc
+			s, err = newImportSrc(f.Header, v, n, implicitDim, func(off int, dst []float32) error {
+				return f.ReadRange(i, off, dst)
+			})
+			srcs = append(srcs, s)
+		}
+		if err != nil {
+			return nil, false, fmt.Errorf("datacube: import %s: %w", p, err)
+		}
 	}
-	out, err := e.Concat(parts)
+	return e.importSrcs(srcs, varName, implicitDim, shard, shards)
+}
+
+// importSrc is one source of an import, read by value range. Its
+// variable's implicit axis, of length t, splits the layout into
+// outer × t × inner: row o·inner+i holds the values (o, ·, i). slot is
+// the offset of its values along the cube's implicit axis.
+type importSrc struct {
+	read                  func(off int, dst []float32) error
+	explicit              []Dimension
+	outer, t, inner, slot int
+}
+
+// newImportSrc resolves the layout of variable v of ds, which holds n
+// values: its dimensions must describe exactly those n, so that nothing
+// is sized from dimensions the data does not fill.
+func newImportSrc(ds *ncdf.Dataset, v *ncdf.Variable, n int, implicitDim string, read func(int, []float32) error) (importSrc, error) {
+	shape, err := ds.Shape(v)
 	if err != nil {
-		return nil, err
+		return importSrc{}, err
 	}
-	return out, nil
+	s := importSrc{read: read, outer: 1, t: -1, inner: 1}
+	cells := 1
+	for i, d := range shape {
+		if d <= 0 || cells > n/d {
+			cells = -1
+			break
+		}
+		cells *= d
+		switch {
+		case s.t < 0 && v.Dims[i] == implicitDim:
+			s.t = d
+			continue
+		case s.t < 0:
+			s.outer *= d
+		default:
+			s.inner *= d
+		}
+		s.explicit = append(s.explicit, Dimension{Name: v.Dims[i], Size: d})
+	}
+	if cells != n {
+		return s, fmt.Errorf("datacube: variable %q has %d values, dims %v imply otherwise", v.Name, n, shape)
+	}
+	if s.t < 0 {
+		return s, fmt.Errorf("datacube: variable %q has no dimension %q", v.Name, implicitDim)
+	}
+	return s, nil
+}
+
+// importSrcs builds the cube of the given shard from sources that agree
+// on their rows, concatenated along the implicit axis in order: the cube
+// is sized once and each source decodes straight into its slot.
+func (e *Engine) importSrcs(srcs []importSrc, varName, implicitDim string, shard, shards int) (*Cube, bool, error) {
+	if shards <= 0 || shard < 0 || shard >= shards {
+		return nil, false, fmt.Errorf("datacube: shard %d of %d out of range", shard, shards)
+	}
+	explicit := srcs[0].explicit
+	rows, total := srcs[0].outer*srcs[0].inner, 0
+	for i := range srcs {
+		if r := srcs[i].outer * srcs[i].inner; r != rows {
+			return nil, false, fmt.Errorf("datacube: import shape mismatch: %d vs %d rows", r, rows)
+		}
+		srcs[i].slot = total
+		total += srcs[i].t
+	}
+	first := 0 // first kept row, in the sources' row numbering
+	if len(explicit) == 0 {
+		if shard != 0 {
+			return nil, false, nil
+		}
+	} else {
+		l := explicit[0].Size
+		lo, hi := shard*l/shards, (shard+1)*l/shards
+		if lo >= hi {
+			return nil, false, nil
+		}
+		first = lo * (rows / l)
+		explicit[0].Size = hi - lo
+	}
+	c := e.newCube(explicit, Dimension{Name: implicitDim, Size: total})
+	c.measure = varName
+	err := e.mapFragments("import", c, func(fr *fragment) error {
+		r0 := first + fr.rowStart
+		for i := range srcs {
+			if err := srcs[i].decode(e, fr.data, r0, r0+fr.rowCount, total); err != nil {
+				return err
+			}
+		}
+		e.addCells(int64(fr.rowCount * total))
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	e.ops.Add(1)
+	return e.register(c, "import("+varName+")"), true, nil
+}
+
+// importTile is the float count of the scratch tile a time-first source
+// is transposed through.
+const importTile = 1 << 14
+
+// decode fills rows [r0, r1) of the source's row numbering into dst,
+// n values per row, at the source's slot.
+func (s *importSrc) decode(e *Engine, dst []float32, r0, r1, n int) error {
+	if s.inner == 1 {
+		// (…, implicit) layout: each row's values are one run on disk,
+		// and for a lone source so are all the rows
+		if s.t == n {
+			return s.read(r0*s.t, dst)
+		}
+		for r := r0; r < r1; r++ {
+			if err := s.read(r*s.t, dst[(r-r0)*n+s.slot:][:s.t]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// the implicit axis is not last: each outer slab is a t × inner
+	// matrix whose columns are rows, read one time step at a time and
+	// transposed tile by tile
+	sb := e.getScratch(importTile)
+	defer e.putScratch(sb)
+	for o := r0 / s.inner; o*s.inner < r1; o++ {
+		i0, i1 := max(r0-o*s.inner, 0), min(r1-o*s.inner, s.inner)
+		for b := i0; b < i1; b += importTile {
+			w := min(importTile, i1-b) // rows per tile
+			tt := max(1, importTile/w) // time steps per tile
+			for t0 := 0; t0 < s.t; t0 += tt {
+				m := min(tt, s.t-t0)
+				for k := 0; k < m; k++ {
+					if err := s.read((o*s.t+t0+k)*s.inner+b, sb.buf[k*w:(k+1)*w]); err != nil {
+						return err
+					}
+				}
+				for i := 0; i < w; i++ {
+					row := dst[(o*s.inner+b+i-r0)*n+s.slot+t0:][:m]
+					for k := range row {
+						row[k] = sb.buf[k*w+i]
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Concat joins cubes with identical explicit shape along the implicit

@@ -32,7 +32,8 @@ func FuzzCompile(f *testing.F) {
 // path; valid ones must be bit-identical at eps=0 and within the bound
 // at eps>0. The high bit of epsSel laces the cube with NaN, ±Inf, ±0 and
 // denormals; the eps>0 bound is then not checked (it does not hold for
-// coarse blocks whose mean is NaN yet, ROADMAP item 10). The seed corpus
+// coarse blocks whose mean is NaN yet: ROADMAP item 5, "The tolerance
+// tier: sound, earning a row, or gone"). The seed corpus
 // covers tiered subset/aggrows chains.
 func FuzzPlan(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(0))                   // apply, exact

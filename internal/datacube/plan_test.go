@@ -537,7 +537,7 @@ func TestPlanRandomChainsMatchEager(t *testing.T) {
 		// ε > 0 bound is not checked on this copy, only that the pass runs:
 		// a coarse block whose mean is NaN gets the zero-width interval a
 		// counting op returns for NaN bounds and is accepted (ROADMAP
-		// item 10).
+		// item 5, "The tolerance tier: sound, earning a row, or gone").
 		lsrc := lacedCube(t, e, nlat, nlon, width)
 		lcur := lsrc
 		for s, st := range chain {

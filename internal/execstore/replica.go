@@ -50,6 +50,9 @@ type Replica struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
+	// fetched closes when the fetch loop has returned: every lease it
+	// acquired has been handed to the local queue or given back.
+	fetched chan struct{}
 
 	mu     sync.Mutex
 	killed bool
@@ -94,7 +97,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Replica{cfg: cfg, q: q, local: make(map[string]localJob)}
+	r := &Replica{cfg: cfg, q: q, local: make(map[string]localJob), fetched: make(chan struct{})}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	cfg.Store.RegisterReplica(cfg.ID, cfg.Workers)
 	r.wg.Add(2)
@@ -110,6 +113,7 @@ func (r *Replica) ID() string { return r.cfg.ID }
 // capacity and hands each to the local queue as a Run closure.
 func (r *Replica) fetchLoop() {
 	defer r.wg.Done()
+	defer close(r.fetched)
 	for {
 		want := r.capacity()
 		if want == 0 {
@@ -176,12 +180,16 @@ func (r *Replica) dispatch(l Lease) {
 		},
 	})
 	if err != nil {
-		// Local pool rejected (draining/full race): give the task back
-		// to the store immediately instead of sitting on the lease.
+		// The local queue refused the job (it is closing): the task never
+		// ran, so give the lease back rather than fail an attempt. A
+		// killed replica says nothing; its lease expires.
 		r.mu.Lock()
 		delete(r.local, lease.TaskID)
+		dead := r.killed
 		r.mu.Unlock()
-		r.cfg.Store.Fail(lease, err)
+		if !dead {
+			r.cfg.Store.Release(lease)
+		}
 	}
 }
 
@@ -222,11 +230,13 @@ func (r *Replica) cancelLocal(taskID string) {
 	r.cfg.Store.Fail(lj.lease, context.Canceled)
 }
 
-// Drain gracefully stops the replica: no new leases are fetched,
-// running tasks finish and report, held-but-unstarted leases are failed
-// back to the store for immediate reassignment.
+// Drain gracefully stops the replica: no new leases are fetched, and
+// every lease already fetched — queued or running — runs to completion
+// and reports. The fetch loop is stopped and joined before the local
+// queue drains, so no lease it holds can meet a closing queue.
 func (r *Replica) Drain(ctx context.Context) error {
 	r.cancel()
+	<-r.fetched
 	err := r.q.Drain(ctx)
 	r.wg.Wait()
 	r.cfg.Store.DeregisterReplica(r.cfg.ID)

@@ -700,15 +700,9 @@ func (s *Store) Renew(replica string) (held, canceled []string) {
 func (s *Store) Complete(l Lease, output json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t, ok := s.tasks[l.TaskID]
-	if !ok {
-		s.met.fenced.Inc()
-		return fmt.Errorf("%w: %s", ErrUnknownTask, l.TaskID)
-	}
-	if t.state != StateLeased || t.epoch != l.Epoch {
-		s.met.fenced.Inc()
-		return fmt.Errorf("%w: task %s epoch %d (current %d, state %s)",
-			ErrFenced, l.TaskID, l.Epoch, t.epoch, t.state)
+	t, err := s.heldLocked(l)
+	if err != nil {
+		return err
 	}
 	t.output = output
 	now := s.now()
@@ -724,15 +718,9 @@ func (s *Store) Complete(l Lease, output json.RawMessage) error {
 func (s *Store) Fail(l Lease, cause error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t, ok := s.tasks[l.TaskID]
-	if !ok {
-		s.met.fenced.Inc()
-		return fmt.Errorf("%w: %s", ErrUnknownTask, l.TaskID)
-	}
-	if t.state != StateLeased || t.epoch != l.Epoch {
-		s.met.fenced.Inc()
-		return fmt.Errorf("%w: task %s epoch %d (current %d, state %s)",
-			ErrFenced, l.TaskID, l.Epoch, t.epoch, t.state)
+	t, err := s.heldLocked(l)
+	if err != nil {
+		return err
 	}
 	now := s.now()
 	if cause == nil {
@@ -749,6 +737,46 @@ func (s *Store) Fail(l Lease, cause error) error {
 		s.finalizeLocked(t, StateFailed, cause, now)
 	}
 	return nil
+}
+
+// Release gives a leased task back unrun: a replica that cannot start
+// it (its local queue is closing) hands it back instead of failing it.
+// The task re-queues at once with no backoff, and the attempt its
+// acquire charged is returned, so a hand-back never spends retry
+// budget. Like Fail it is fenced by the lease epoch; a pending cancel
+// request finalizes the task CANCELED instead, and that is not counted
+// as released.
+func (s *Store) Release(l Lease) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, err := s.heldLocked(l)
+	if err != nil {
+		return err
+	}
+	if t.cancelReq {
+		s.finalizeLocked(t, StateCanceled, context.Canceled, s.now())
+		return nil
+	}
+	s.met.released.Inc()
+	t.attempt--
+	s.requeueLocked(t, s.now(), 0)
+	return nil
+}
+
+// heldLocked returns the task l still holds, or the fence error: the
+// task is unknown, or its lease epoch moved on.
+func (s *Store) heldLocked(l Lease) (*task, error) {
+	t, ok := s.tasks[l.TaskID]
+	if !ok {
+		s.met.fenced.Inc()
+		return nil, fmt.Errorf("%w: %s", ErrUnknownTask, l.TaskID)
+	}
+	if t.state != StateLeased || t.epoch != l.Epoch {
+		s.met.fenced.Inc()
+		return nil, fmt.Errorf("%w: task %s epoch %d (current %d, state %s)",
+			ErrFenced, l.TaskID, l.Epoch, t.epoch, t.state)
+	}
+	return t, nil
 }
 
 func (s *Store) backoff(attempt int) time.Duration {

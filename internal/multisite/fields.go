@@ -28,13 +28,13 @@ func loadFields(files []string, g grid.Grid) ([]instant, error) {
 		if !ok {
 			return nil, fmt.Errorf("multisite: unparseable model file %q", path)
 		}
+		vals, err := ncdf.ReadVarsFile(path, vars)
+		if err != nil {
+			return nil, err
+		}
 		perVar := make(map[string][]float32, len(vars))
-		for _, v := range vars {
-			_, vv, err := ncdf.ReadVariableFile(path, v)
-			if err != nil {
-				return nil, err
-			}
-			perVar[v] = vv.Data
+		for i, v := range vars {
+			perVar[v] = vals[i]
 		}
 		size := g.Size()
 		for s := 0; s < esm.StepsPerDay; s++ {

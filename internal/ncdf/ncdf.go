@@ -10,8 +10,9 @@
 //	magic "GNC1" | header (dims, attrs, var metadata) | variable payloads
 //
 // with all integers little-endian and strings length-prefixed. Variable
-// payloads are offset-addressed, so single variables can be read without
-// loading the whole file (the datacube import path relies on this).
+// payloads are offset-addressed, so a variable, or a range of its values,
+// can be read without loading the rest of the file (File.ReadRange; the
+// datacube import path relies on this).
 package ncdf
 
 import (
@@ -128,12 +129,20 @@ func (d *Dataset) AddVar(name string, dims []string, data []float32) (*Variable,
 
 // Var returns the named variable.
 func (d *Dataset) Var(name string) (*Variable, error) {
-	for _, v := range d.Vars {
-		if v.Name == name {
-			return v, nil
-		}
+	if i := d.varIndex(name); i >= 0 {
+		return d.Vars[i], nil
 	}
 	return nil, fmt.Errorf("%w: variable %q", ErrNotFound, name)
+}
+
+// varIndex returns the named variable's position in Vars, or -1.
+func (d *Dataset) varIndex(name string) int {
+	for i, v := range d.Vars {
+		if v.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // VarNames returns the sorted variable names.
@@ -167,21 +176,6 @@ func writeStr(w io.Writer, s string) error {
 	}
 	_, err := io.WriteString(w, s)
 	return err
-}
-
-func readStr(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("ncdf: unreasonable string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }
 
 func writeAttrs(w io.Writer, attrs map[string]AttrValue) error {
@@ -219,45 +213,6 @@ func writeAttrs(w io.Writer, attrs map[string]AttrValue) error {
 		}
 	}
 	return nil
-}
-
-func readAttrs(r io.Reader) (map[string]AttrValue, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	// never trust the declared count for preallocation: corrupt input
-	// must fail at the first missing byte, not allocate first
-	attrs := make(map[string]AttrValue, minInt(int(n), 256))
-	for i := uint32(0); i < n; i++ {
-		k, err := readStr(r)
-		if err != nil {
-			return nil, err
-		}
-		var kind [1]byte
-		if _, err := io.ReadFull(r, kind[:]); err != nil {
-			return nil, err
-		}
-		a := AttrValue{Kind: kind[0]}
-		switch a.Kind {
-		case 's':
-			if a.S, err = readStr(r); err != nil {
-				return nil, err
-			}
-		case 'i':
-			if err := binary.Read(r, binary.LittleEndian, &a.I); err != nil {
-				return nil, err
-			}
-		case 'f':
-			if err := binary.Read(r, binary.LittleEndian, &a.F); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("ncdf: unknown attribute kind %q", a.Kind)
-		}
-		attrs[k] = a
-	}
-	return attrs, nil
 }
 
 // Write encodes the dataset to w.
@@ -328,123 +283,6 @@ func writeFloats(w io.Writer, data []float32) error {
 	return nil
 }
 
-func readFloats(r io.Reader, n int) ([]float32, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("ncdf: negative payload length %d", n)
-	}
-	// Grow incrementally rather than trusting the header's length: a
-	// corrupt or malicious header must not trigger a giant allocation
-	// before the payload bytes actually arrive.
-	data := make([]float32, 0, minInt(n, 1<<20))
-	buf := make([]byte, 4*4096)
-	for off := 0; off < n; {
-		c := n - off
-		if c > 4096 {
-			c = 4096
-		}
-		if _, err := io.ReadFull(r, buf[:4*c]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < c; i++ {
-			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
-		off += c
-	}
-	return data, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// header mirrors the metadata section plus payload lengths.
-type header struct {
-	ds      *Dataset
-	lengths []int
-}
-
-func readHeader(r io.Reader) (*header, error) {
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != Magic {
-		return nil, ErrBadMagic
-	}
-	ds := NewDataset()
-	var ndims uint32
-	if err := binary.Read(r, binary.LittleEndian, &ndims); err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < ndims; i++ {
-		name, err := readStr(r)
-		if err != nil {
-			return nil, err
-		}
-		var l uint64
-		if err := binary.Read(r, binary.LittleEndian, &l); err != nil {
-			return nil, err
-		}
-		ds.Dims = append(ds.Dims, Dim{Name: name, Len: int(l)})
-	}
-	attrs, err := readAttrs(r)
-	if err != nil {
-		return nil, err
-	}
-	ds.Attrs = attrs
-	var nvars uint32
-	if err := binary.Read(r, binary.LittleEndian, &nvars); err != nil {
-		return nil, err
-	}
-	h := &header{ds: ds}
-	for i := uint32(0); i < nvars; i++ {
-		name, err := readStr(r)
-		if err != nil {
-			return nil, err
-		}
-		var nd uint32
-		if err := binary.Read(r, binary.LittleEndian, &nd); err != nil {
-			return nil, err
-		}
-		dims := make([]string, 0, minInt(int(nd), 64))
-		for j := uint32(0); j < nd; j++ {
-			s, err := readStr(r)
-			if err != nil {
-				return nil, err
-			}
-			dims = append(dims, s)
-		}
-		vattrs, err := readAttrs(r)
-		if err != nil {
-			return nil, err
-		}
-		var n uint64
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-		ds.Vars = append(ds.Vars, &Variable{Name: name, Dims: dims, Attrs: vattrs})
-		h.lengths = append(h.lengths, int(n))
-	}
-	return h, nil
-}
-
-// Read decodes a full dataset, payloads included.
-func Read(r io.Reader) (*Dataset, error) {
-	h, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range h.ds.Vars {
-		if v.Data, err = readFloats(r, h.lengths[i]); err != nil {
-			return nil, fmt.Errorf("ncdf: payload of %q: %w", v.Name, err)
-		}
-	}
-	return h.ds, nil
-}
-
 // WriteFile writes the dataset to path atomically (tmp file + rename)
 // so directory watchers never observe a half-written file. Output is
 // buffered: the encoder's many small header fields become few syscalls.
@@ -470,59 +308,4 @@ func WriteFile(path string, d *Dataset) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// ReadFile loads a dataset from path.
-func ReadFile(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(bufio.NewReaderSize(f, 1<<18))
-}
-
-// ReadHeaderFile loads only metadata (dims, attrs, variable shapes).
-func ReadHeaderFile(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	h, err := readHeader(bufio.NewReaderSize(f, 1<<16))
-	if err != nil {
-		return nil, err
-	}
-	return h.ds, nil
-}
-
-// ReadVariableFile reads the named variable's payload (plus metadata)
-// without loading other variables' data.
-func ReadVariableFile(path, name string) (*Dataset, *Variable, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<18)
-	h, err := readHeader(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	var skip int64
-	for i, v := range h.ds.Vars {
-		if v.Name == name {
-			if skip > 0 {
-				if _, err := io.CopyN(io.Discard, br, skip); err != nil {
-					return nil, nil, err
-				}
-			}
-			if v.Data, err = readFloats(br, h.lengths[i]); err != nil {
-				return nil, nil, err
-			}
-			return h.ds, v, nil
-		}
-		skip += int64(h.lengths[i]) * 4
-	}
-	return nil, nil, fmt.Errorf("%w: variable %q in %s", ErrNotFound, name, path)
 }
