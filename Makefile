@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check build vet test race race-exchange race-replica race-cluster race-pyramid race-wire soak-smoke bench bench-smoke bench-quick examples experiments chaos fuzz-short clean
+.PHONY: all check fmt-check build vet test race race-exchange race-replica race-cluster race-pyramid race-wire vet-be soak-smoke bench bench-smoke bench-quick examples experiments chaos fuzz-short clean
 
 all: build vet test
 
@@ -61,6 +61,14 @@ race-pyramid:
 race-wire:
 	$(GO) test -race -count=1 -run 'Wire|Mux|Interop|Frame|Pool|Timeout|Idle|Codec|Negotiat|Broken|Poison|CloseConcurrent' \
 		./internal/cubeserver/ ./internal/cubecluster/
+
+# the wire codec's big-endian path (the per-element float loops) must
+# keep compiling: vet the package and build its tests for s390x. The
+# tests are only built; running them needs a big-endian host or an
+# emulator.
+vet-be:
+	GOARCH=s390x $(GO) vet ./internal/cubeserver/
+	GOARCH=s390x $(GO) test -c -o /dev/null ./internal/cubeserver/
 
 # short-mode replica soak in the tier-1 gate: one kill/reclaim cycle,
 # exactly-once and byte-identical outputs still asserted

@@ -95,7 +95,11 @@ type Response struct {
 	// unclassified failures.
 	ErrCode string
 	Shape   Shape
-	Values  [][]float32
+	// Values holds the rows of row and values. The rows of a values
+	// answer dispatched in-process (EngineDispatcher, and a cluster
+	// over in-process shards) share the engine's storage and must not
+	// be written; a decoded answer owns its rows.
+	Values [][]float32
 	// Partials are the float64 shard-local reduction outputs of
 	// aggpartial (full precision; never rounded through a cube).
 	Partials []float64
@@ -514,7 +518,7 @@ func (s *engineDispatcher) Dispatch(req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		resp.Values = c.Values()
+		resp.Values = c.RowViews()
 		resp.Shape = shapeOf(c)
 	case "scalar":
 		c, err := cube(req.CubeID)

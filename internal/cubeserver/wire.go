@@ -4,10 +4,12 @@ package cubeserver
 // binary framing with a hand-rolled codec for Request and Response.
 // The v1 protocol (one gob stream per connection) spends most of its
 // time in reflection and per-value encoding; v2 writes bulk []float64
-// and [][]float32 payloads as raw contiguous byte blocks via
-// math.Float64bits/Float32bits loops into pooled buffers, so encode
-// and decode run at near-memcpy speed with no reflection and no
-// steady-state allocation on the framing path.
+// and [][]float32 payloads as raw contiguous byte blocks into pooled
+// buffers, with no reflection and no steady-state allocation on the
+// framing path. On a little-endian host, whose memory order is the
+// wire's, each block crosses the codec in one copy through a byte view
+// of the float slice; a big-endian host converts element by element
+// (putF32sLoop and friends, which the tests also use as the oracle).
 //
 // Frame layout (all integers little-endian):
 //
@@ -34,7 +36,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/datacube"
 )
@@ -124,15 +128,89 @@ func appendStrs(b []byte, ss []string) []byte {
 	return b
 }
 
+// ── float blocks ─────────────────────────────────────────────────────
+
+// nativeLE reports whether this host lays numbers out little-endian,
+// as the wire does: then a float block and its encoding are the same
+// bytes.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f32Bytes and f64Bytes view a float slice's memory as bytes.
+func f32Bytes(v []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
+}
+
+func f64Bytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+}
+
+// putF32s encodes v into dst[:4*len(v)].
+func putF32s(dst []byte, v []float32) {
+	if nativeLE {
+		copy(dst, f32Bytes(v))
+		return
+	}
+	putF32sLoop(dst, v)
+}
+
+func putF32sLoop(dst []byte, v []float32) {
+	for i, f := range v {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(f))
+	}
+}
+
+// getF32s decodes src[:4*len(dst)] into dst.
+func getF32s(dst []float32, src []byte) {
+	if nativeLE {
+		copy(f32Bytes(dst), src)
+		return
+	}
+	getF32sLoop(dst, src)
+}
+
+func getF32sLoop(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+// putF64s encodes v into dst[:8*len(v)].
+func putF64s(dst []byte, v []float64) {
+	if nativeLE {
+		copy(dst, f64Bytes(v))
+		return
+	}
+	putF64sLoop(dst, v)
+}
+
+func putF64sLoop(dst []byte, v []float64) {
+	for i, f := range v {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(f))
+	}
+}
+
+// getF64s decodes src[:8*len(dst)] into dst.
+func getF64s(dst []float64, src []byte) {
+	if nativeLE {
+		copy(f64Bytes(dst), src)
+		return
+	}
+	getF64sLoop(dst, src)
+}
+
+func getF64sLoop(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
 // appendF64s writes the slice as one raw contiguous block — the
-// near-memcpy path the bulk partials travel on.
+// path the bulk partials travel on.
 func appendF64s(b []byte, v []float64) []byte {
 	b = appendU32(b, uint32(len(v)))
 	off := len(b)
 	b = grow(b, 8*len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint64(b[off+8*i:], math.Float64bits(f))
-	}
+	putF64s(b[off:], v)
 	return b
 }
 
@@ -141,14 +219,18 @@ func appendF32Row(b []byte, row []float32) []byte {
 	b = appendU32(b, uint32(len(row)))
 	off := len(b)
 	b = grow(b, 4*len(row))
-	for i, f := range row {
-		binary.LittleEndian.PutUint32(b[off+4*i:], math.Float32bits(f))
-	}
+	putF32s(b[off:], row)
 	return b
 }
 
+// appendRows reserves the whole row block's exact size once, so a
+// bulk payload never regrows the buffer row by row.
 func appendRows(b []byte, rows [][]float32) []byte {
-	b = appendU32(b, uint32(len(rows)))
+	n := 4
+	for _, row := range rows {
+		n += 4 + 4*len(row)
+	}
+	b = appendU32(slices.Grow(b, n), uint32(len(rows)))
 	for _, row := range rows {
 		b = appendF32Row(b, row)
 	}
@@ -281,9 +363,7 @@ func (d *wireDec) f64s() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off+8*i:]))
-	}
+	getF64s(out, d.b[d.off:])
 	d.off += 8 * n
 	return out
 }
@@ -321,9 +401,7 @@ func (d *wireDec) rows() [][]float32 {
 		}
 		row := backing[used : used+c : used+c]
 		used += c
-		for j := range row {
-			row[j] = math.Float32frombits(binary.LittleEndian.Uint32(d.b[d.off+4*j:]))
-		}
+		getF32s(row, d.b[d.off:])
 		d.off += 4 * c
 		out[i] = row
 	}

@@ -485,6 +485,15 @@ func FuzzWireFrame(f *testing.F) {
 	// A frame header claiming more than the body delivers.
 	f.Add(finishFrame(append(beginFrame(nil, frameRequest, 7), 0xba, 0xad)))
 	f.Add(nonCanonicalBool())
+	// Float blocks of special values (NaN payloads, ±0, ±Inf,
+	// subnormals, extremes) in zero-length and ragged rows: the
+	// re-encode check below then fuzzes the bulk copy's round trip.
+	f.Add(AppendResponseV2(nil, &Response{Values: specialRows(), Partials: f64sOf(wireF64Specials)}))
+	f.Add(AppendRequestV2(nil, &Request{Op: "putcube", Values: specialRows(), Params: f64sOf(wireF64Specials)}))
+	f.Add(AppendResponseV2(nil, &Response{Values: [][]float32{nil, nil, nil}}))
+	f.Add(AppendResponseV2(nil, &Response{Values: [][]float32{
+		f32sOf(wireF32Specials[:5]), nil, f32sOf(wireF32Specials[5:6]), f32sOf(wireF32Specials[6:]),
+	}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request

@@ -143,6 +143,23 @@ func (c *Cube) Values() [][]float32 {
 	return out
 }
 
+// RowViews returns the cube as [row][t] like Values, but copies no
+// payload: each row is a capacity-clipped view of the fragment that
+// holds it. A registered cube is immutable (operators write only into
+// their fresh output before registering it), so the views keep their
+// values for as long as they are held. They are read-only: writing
+// through one corrupts the cube.
+func (c *Cube) RowViews() [][]float32 {
+	n := c.implicit.Size
+	out := make([][]float32, c.rows)
+	for _, fr := range c.frags {
+		for r := 0; r < fr.rowCount; r++ {
+			out[fr.rowStart+r] = fr.data[r*n : (r+1)*n : (r+1)*n]
+		}
+	}
+	return out
+}
+
 // CopyRow copies one row's array into dst without allocating and
 // reports how many values were written (min of len(dst) and the
 // implicit length). Hot readers — viz map rendering, per-cell index

@@ -2,6 +2,7 @@ package datacube
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,6 +48,28 @@ func TestNewCubeFromFuncShape(t *testing.T) {
 	}
 	if _, err := c.Row(9); err == nil {
 		t.Fatal("out-of-range row accepted")
+	}
+}
+
+// TestRowViewsShareStorage pins RowViews against Values: the same rows
+// in the same order across fragment boundaries, each capacity-clipped,
+// but read in place rather than copied.
+func TestRowViewsShareStorage(t *testing.T) {
+	e := newTestEngine(t)
+	for _, shape := range [][2]int{{7, 4}, {3, 1}, {12, 9}} {
+		c := seqCube(t, e, shape[0], shape[1])
+		views, vals := c.RowViews(), c.Values()
+		if !reflect.DeepEqual(views, vals) {
+			t.Fatalf("%v: RowViews %v, Values %v", shape, views, vals)
+		}
+		for r, v := range views {
+			if cap(v) != len(v) {
+				t.Fatalf("%v: row %d view has cap %d > len %d", shape, r, cap(v), len(v))
+			}
+			if len(v) > 0 && &v[0] != &c.rowSlice(r)[0] {
+				t.Fatalf("%v: row %d view is a copy, not the fragment's storage", shape, r)
+			}
+		}
 	}
 }
 
