@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check build vet test race race-exchange race-replica race-cluster race-pyramid race-wire vet-be soak-smoke bench bench-smoke bench-quick examples experiments chaos fuzz-short clean
+.PHONY: all check fmt-check build vet test race race-exchange race-replica race-cluster race-pyramid vet-be soak-smoke bench bench-smoke bench-quick examples experiments chaos fuzz-short clean
 
 all: build vet test
 
@@ -53,14 +53,6 @@ race-cluster:
 race-pyramid:
 	$(GO) test -race -count=1 -run 'Pyramid|Tier|Toleran|Demot|Promot|Resident|Prescreen|Adopt|Interval' \
 		./internal/datacube/ ./internal/cubeserver/ ./internal/cubecluster/ ./internal/indices/ ./internal/tctrack/
-
-# focused race gate over the v2 wire layer: codec round-trip/parity,
-# multiplexed concurrent clients, connection pooling and failover,
-# protocol negotiation and mixed-version interop, idle/write deadlines,
-# poisoning semantics under concurrent Close
-race-wire:
-	$(GO) test -race -count=1 -run 'Wire|Mux|Interop|Frame|Pool|Timeout|Idle|Codec|Negotiat|Broken|Poison|CloseConcurrent' \
-		./internal/cubeserver/ ./internal/cubecluster/
 
 # the wire codec's big-endian path (the per-element float loops) must
 # keep compiling: vet the package and build its tests for s390x. The

@@ -9,9 +9,9 @@ import (
 )
 
 // TestClusterOverTCP rebuilds the equivalence check with real
-// cubeserver TCP replicas behind DialTransport, and additionally
-// serves the coordinator itself over TCP — client → coordinator →
-// shards, all gob. This pins the new wire fields (Dims, Values,
+// cubeserver TCP replicas, each behind a single-connection pool, and
+// additionally serves the coordinator itself over TCP — client →
+// coordinator → shards. This pins the new wire fields (Dims, Values,
 // Partials, ErrCode) through actual encoding.
 func TestClusterOverTCP(t *testing.T) {
 	path := writeClusterFile(t, t.TempDir(), 8, 4, 16)
@@ -31,7 +31,7 @@ func TestClusterOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := DialTransport(srv.Addr())
+		tr, err := DialPoolTransport(srv.Addr(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

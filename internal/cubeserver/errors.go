@@ -33,9 +33,9 @@ const (
 var ErrUnknownOp = errors.New("cubeserver: unknown op")
 
 // ErrClientBroken is returned by every call on a Client after a
-// transport failure. A failed gob Encode or Decode leaves the stream
-// desynced — a later call could hang on a half-written frame or decode
-// a stale response as its own — so the client latches the first
+// transport failure. A failed frame write or read leaves the stream
+// desynced — a later call could wait on a reply that never comes or
+// decode a stale frame as its own — so the client latches the first
 // transport error and fails everything afterwards fast; callers must
 // reconnect.
 var ErrClientBroken = errors.New("cubeserver: client unusable after transport error (reconnect)")

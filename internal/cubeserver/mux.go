@@ -4,15 +4,13 @@ package cubeserver
 // by any number of concurrent Do calls. A writer goroutine drains a
 // frame channel and a reader goroutine routes response frames through
 // an in-flight table keyed by request ID, so N callers pipeline their
-// requests instead of queueing on a client mutex the way the legacy
-// gob path does.
+// requests instead of queueing on a client mutex.
 //
 // Failure model: the first transport error poisons the connection.
 // Every call in flight at that moment is aborted with the raw error;
 // if none was, the next Do reports the raw error once. All later calls
-// fail fast with ErrClientBroken — matching the legacy client's
-// semantics, where exactly one caller sees what actually broke and the
-// rest are told to reconnect.
+// fail fast with ErrClientBroken: exactly one caller sees what actually
+// broke and the rest are told to reconnect.
 
 import (
 	"bufio"

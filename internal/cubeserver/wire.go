@@ -2,14 +2,13 @@ package cubeserver
 
 // wire.go is the v2 wire protocol: length-prefixed little-endian
 // binary framing with a hand-rolled codec for Request and Response.
-// The v1 protocol (one gob stream per connection) spends most of its
-// time in reflection and per-value encoding; v2 writes bulk []float64
-// and [][]float32 payloads as raw contiguous byte blocks into pooled
-// buffers, with no reflection and no steady-state allocation on the
-// framing path. On a little-endian host, whose memory order is the
-// wire's, each block crosses the codec in one copy through a byte view
-// of the float slice; a big-endian host converts element by element
-// (putF32sLoop and friends, which the tests also use as the oracle).
+// It writes bulk []float64 and [][]float32 payloads as raw contiguous
+// byte blocks into pooled buffers, with no reflection and no
+// steady-state allocation on the framing path. On a little-endian
+// host, whose memory order is the wire's, each block crosses the codec
+// in one copy through a byte view of the float slice; a big-endian
+// host converts element by element (putF32sLoop and friends, which the
+// tests also use as the oracle).
 //
 // Frame layout (all integers little-endian):
 //
@@ -20,11 +19,9 @@ package cubeserver
 //
 // Every frame carries a request ID, so N requests can be in flight on
 // one connection at once: the mux client (mux.go) pipelines them and
-// the server answers in completion order. A v2 session is opened by
-// the 4-byte magic {0x00,'C','W','2'}; 0x00 can never begin a gob
-// stream (gob's leading byte-count uvarint is nonzero), which is what
-// makes the server's codec sniff unambiguous (see negotiation in
-// cubeserver.go).
+// the server answers in completion order. A session is opened by the
+// 4-byte magic {0x00,'C','W','2'}, which the server echoes before the
+// first frame (Dial and Server.handle in cubeserver.go).
 //
 // The decoder is fuzz-hardened: every length field is validated
 // against the bytes actually remaining in the frame before any
@@ -43,9 +40,9 @@ import (
 	"repro/internal/datacube"
 )
 
-// wireMagic opens a v2 session. The leading 0x00 is unreachable as the
-// first byte of a gob stream, so a server can sniff the codec from one
-// byte.
+// wireMagic opens a session: the client sends it, the server reads all
+// four bytes, drops the connection on any other opening and echoes it
+// otherwise.
 var wireMagic = [4]byte{0x00, 'C', 'W', '2'}
 
 const (
@@ -397,7 +394,7 @@ func (d *wireDec) rows() [][]float32 {
 		c := int(binary.LittleEndian.Uint32(d.b[d.off:]))
 		d.off += 4
 		if c == 0 {
-			continue // zero-length rows decode nil, matching the gob stream
+			continue // zero-length rows decode nil, as encoding/gob does
 		}
 		row := backing[used : used+c : used+c]
 		used += c
@@ -545,8 +542,8 @@ func AppendResponseV2(b []byte, resp *Response) []byte {
 	b = appendF64s(b, resp.Partials)
 	b = appendStrs(b, resp.IDs)
 	b = appendRows(b, resp.Values)
-	// Maps carry a presence byte: gob transmits an empty non-nil map but
-	// omits a nil one, and the decoder mirrors that distinction.
+	// Maps carry a presence byte: encoding/gob transmits an empty non-nil
+	// map but omits a nil one, and the decoder mirrors that distinction.
 	b = appendBool(b, resp.Resident != nil)
 	if resp.Resident != nil {
 		b = appendU32(b, uint32(len(resp.Resident)))
@@ -559,8 +556,9 @@ func AppendResponseV2(b []byte, resp *Response) []byte {
 }
 
 // DecodeResponseV2 decodes a v2 response body into resp. Mirroring
-// gob's omitted-zero-value semantics, empty slices and maps decode as
-// nil, so responses round-trip reflect.DeepEqual across either codec.
+// encoding/gob's omitted-zero-value semantics, empty slices and maps
+// decode as nil, so a response crosses the wire reflect.DeepEqual to
+// its gob round-trip (TestWireCodecGobParity holds the two together).
 func DecodeResponseV2(b []byte, resp *Response) error {
 	d := &wireDec{b: b}
 	resp.Err = d.str()

@@ -1,8 +1,12 @@
 package cubeserver
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
+	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,7 +77,7 @@ func TestWireErrorUnknownOpSentinel(t *testing.T) {
 
 // TestClientPoisonedAfterTransportError breaks the connection under a
 // live client and demands the first call report the transport failure
-// and every later call fail fast with ErrClientBroken — a desynced gob
+// and every later call fail fast with ErrClientBroken — a desynced
 // stream must never serve another request.
 func TestClientPoisonedAfterTransportError(t *testing.T) {
 	engine := datacube.NewEngine(datacube.Config{Servers: 1})
@@ -102,9 +106,10 @@ func TestClientPoisonedAfterTransportError(t *testing.T) {
 	}
 }
 
-// TestServerCountsProtocolGarbage feeds raw garbage bytes to the
-// server and checks the proto-error counter moves while the server
-// keeps serving well-formed clients.
+// TestServerCountsProtocolGarbage opens connections that do not start
+// with the session magic — raw garbage, and a well-formed gob stream
+// carrying a Request — and checks each is counted as a protocol error
+// and hung up on, while the server keeps serving well-formed clients.
 func TestServerCountsProtocolGarbage(t *testing.T) {
 	engine := datacube.NewEngine(datacube.Config{Servers: 1})
 	defer engine.Close()
@@ -115,21 +120,36 @@ func TestServerCountsProtocolGarbage(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
+	var gobReq bytes.Buffer
+	if err := gob.NewEncoder(&gobReq).Encode(&Request{Op: "ping"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte("\xff\xfe this is not gob \x00\x01")); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.met.protoErrs.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("proto-error counter never incremented on garbage bytes")
+	for i, in := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"garbage", []byte("\xff\xfe this is not a session \x00\x01")},
+		{"gob request", gobReq.Bytes()},
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		if _, err := conn.Write(in.bytes); err != nil {
+			t.Fatal(err)
+		}
+		// The server must hang up without answering: a read sees EOF (or
+		// a reset, as the server leaves input unread), never a reply.
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		var b [1]byte
+		n, err := conn.Read(b[:])
+		conn.Close()
+		if n > 0 || err == nil || isTimeout(err) {
+			t.Fatalf("%s: want the server to hang up, read %d bytes, err %v", in.name, n, err)
+		}
+		if got := srv.met.protoErrs.Value(); got != float64(i+1) {
+			t.Fatalf("%s: proto errors = %v, want %d", in.name, got, i+1)
+		}
 	}
 
 	client, err := Dial(srv.Addr())
@@ -139,5 +159,65 @@ func TestServerCountsProtocolGarbage(t *testing.T) {
 	defer client.Close()
 	if err := client.Ping(); err != nil {
 		t.Fatalf("server should survive protocol garbage, ping failed: %v", err)
+	}
+}
+
+// TestDialFailsOnBadHandshake points Dial at peers that are not
+// cubeservers: one that hangs up at once and one that answers the
+// magic with four other bytes and then stays open. Dial must fail
+// promptly in both cases — well inside the handshake deadline — rather
+// than hand back a client that cannot talk to its peer.
+func TestDialFailsOnBadHandshake(t *testing.T) {
+	for _, peer := range []struct {
+		name  string
+		serve func(net.Conn)
+	}{
+		{"hangup", func(c net.Conn) { c.Close() }},
+		{"wrong echo", func(c net.Conn) {
+			var magic [4]byte
+			io.ReadFull(c, magic[:])
+			c.Write([]byte("CW1\x00"))
+			// Held open until the listener closes, so only the bytes
+			// can fail the handshake.
+		}},
+	} {
+		t.Run(peer.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var conns []net.Conn
+			var mu sync.Mutex
+			go func() {
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					mu.Lock()
+					conns = append(conns, c)
+					mu.Unlock()
+					go peer.serve(c)
+				}
+			}()
+			defer func() {
+				ln.Close()
+				mu.Lock()
+				for _, c := range conns {
+					c.Close()
+				}
+				mu.Unlock()
+			}()
+
+			start := time.Now()
+			client, err := Dial(ln.Addr().String())
+			if err == nil {
+				client.Close()
+				t.Fatal("Dial succeeded against a peer that is not a cubeserver")
+			}
+			if d := time.Since(start); d > handshakeTimeout/2 {
+				t.Fatalf("Dial took %v to fail; it must not wait out the handshake deadline", d)
+			}
+		})
 	}
 }

@@ -15,48 +15,27 @@ import (
 	"repro/internal/obs"
 )
 
-// meteredCounter accumulates byte counts locally until the negotiated
-// codec is known, then streams them into the per-codec obs counter.
-// attach happens-before any concurrent use: the server wires counters
-// up right after the sniff, before spawning response workers.
-type meteredCounter struct {
-	pending int64
-	ctr     *obs.Counter
-}
-
-func (m *meteredCounter) add(n int) {
-	if m.ctr != nil {
-		m.ctr.Add(float64(n))
-		return
-	}
-	m.pending += int64(n)
-}
-
-func (m *meteredCounter) attach(c *obs.Counter) {
-	c.Add(float64(m.pending))
-	m.pending = 0
-	m.ctr = c
-}
-
+// meteredReader and meteredWriter count a connection's bytes into the
+// server's wire counters as they move.
 type meteredReader struct {
 	r io.Reader
-	m *meteredCounter
+	c *obs.Counter
 }
 
 func (m *meteredReader) Read(p []byte) (int, error) {
 	n, err := m.r.Read(p)
-	m.m.add(n)
+	m.c.Add(float64(n))
 	return n, err
 }
 
 type meteredWriter struct {
 	w io.Writer
-	m *meteredCounter
+	c *obs.Counter
 }
 
 func (m *meteredWriter) Write(p []byte) (int, error) {
 	n, err := m.w.Write(p)
-	m.m.add(n)
+	m.c.Add(float64(n))
 	return n, err
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,8 +17,8 @@ import (
 )
 
 // These tests pin the v2 wire layer: codec round-trips, gob parity on
-// nil-vs-empty, response routing under heavy multiplexing, mixed-
-// version negotiation, and the server's timeout/garbage accounting.
+// nil-vs-empty, response routing under heavy multiplexing, the session
+// handshake, and the server's timeout/garbage accounting.
 
 func fullRequest() *Request {
 	return &Request{
@@ -70,10 +69,11 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireCodecGobParity decodes the same zero-ish response through
-// both codecs and demands identical structs — in particular, empty
-// slices and maps must come back nil on both paths, or DeepEqual-based
-// equivalence checks would tell codecs apart.
+// TestWireCodecGobParity holds the v2 codec to encoding/gob's
+// nil-vs-empty semantics, with stdlib gob as the oracle: empty slices
+// and maps must come back nil. An in-process answer and the same answer
+// over TCP are compared with reflect.DeepEqual throughout the cluster
+// tests, so the codec must not be what tells them apart.
 func TestWireCodecGobParity(t *testing.T) {
 	for _, resp := range []*Response{
 		{},
@@ -114,22 +114,12 @@ func TestDecodeStaleFieldsCleared(t *testing.T) {
 	}
 }
 
-func TestDialNegotiatesV2(t *testing.T) {
-	client, _ := startServer(t)
-	if got := client.Codec(); got != "v2" {
-		t.Fatalf("default dial negotiated %q, want v2", got)
-	}
-}
-
 // TestMuxConcurrentDo hammers one multiplexed client from many
 // goroutines with interleaved large (putcube/values) and small (ping)
 // payloads, and checks every goroutine reads back exactly the payload
 // it wrote — response frames must never cross wires.
 func TestMuxConcurrentDo(t *testing.T) {
 	client, _ := startServer(t)
-	if client.Codec() != "v2" {
-		t.Fatalf("want a v2 session, got %q", client.Codec())
-	}
 
 	const workers = 8
 	const iters = 5
@@ -188,68 +178,7 @@ func TestMuxConcurrentDo(t *testing.T) {
 	}
 }
 
-// interopPipelineResult runs a fixed import+pipeline+values against a
-// server through one client and returns the final values.
-func interopPipelineResult(t *testing.T, client *Client, path string) [][]float32 {
-	t.Helper()
-	cube, err := client.ImportFiles([]string{path}, "T", "time")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := cube.Pipeline(
-		PipelineStep{Op: "apply", Expr: "x*2"},
-		PipelineStep{Op: "reducegroup", RowOp: "max", Group: 2},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := out.Values()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return vals
-}
-
-// TestInteropMixedVersions crosses both client generations with both
-// server generations and demands byte-identical pipeline results, plus
-// sentinel identity on each negotiated path.
-func TestInteropMixedVersions(t *testing.T) {
-	path := writeTestFile(t, t.TempDir(), "a.nc")
-
-	run := func(t *testing.T, gobOnlyServer bool, dial func(string) (*Client, error), wantCodec string) [][]float32 {
-		t.Helper()
-		engine := datacube.NewEngine(datacube.Config{Servers: 2, FragmentsPerCube: 4})
-		srv, err := ServeOptions("127.0.0.1:0", EngineDispatcher(engine), nil, Options{GobOnly: gobOnlyServer})
-		if err != nil {
-			t.Fatal(err)
-		}
-		client, err := dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { client.Close(); srv.Close(); engine.Close() })
-		if got := client.Codec(); got != wantCodec {
-			t.Fatalf("negotiated %q, want %q", got, wantCodec)
-		}
-		// Sentinels survive whatever codec was negotiated.
-		if _, err := client.call(&Request{Op: "shape", CubeID: "cube-404"}); !errors.Is(err, datacube.ErrNotFound) {
-			t.Fatalf("want ErrNotFound across %s wire, got %v", wantCodec, err)
-		}
-		return interopPipelineResult(t, client, path)
-	}
-
-	v2v2 := run(t, false, Dial, "v2")
-	v2Gob := run(t, true, Dial, "gob")     // v2 client negotiates down
-	gobV2 := run(t, false, DialGob, "gob") // legacy client, modern server
-	gobGob := run(t, true, DialGob, "gob") // legacy both sides
-	for name, got := range map[string][][]float32{"v2↔gob-only": v2Gob, "gob↔v2": gobV2, "gob↔gob": gobGob} {
-		if !reflect.DeepEqual(got, v2v2) {
-			t.Fatalf("%s diverged from v2↔v2:\ngot  %v\nwant %v", name, got, v2v2)
-		}
-	}
-}
-
-// TestServerCountsV2Garbage opens a negotiated v2 session, then feeds
+// TestServerCountsV2Garbage opens a session, then feeds
 // the server a well-framed but undecodable request and an oversized
 // frame; both must be counted, and the first must not kill the session.
 func TestServerCountsV2Garbage(t *testing.T) {
@@ -326,7 +255,7 @@ func TestServerCountsV2Garbage(t *testing.T) {
 }
 
 // TestServerIdleTimeout pins the stalled-peer fix: a connection that
-// negotiates and then goes silent is closed once the idle horizon
+// opens a session and then goes silent is closed once the idle horizon
 // passes, and the expiry is counted.
 func TestServerIdleTimeout(t *testing.T) {
 	engine := datacube.NewEngine(datacube.Config{Servers: 1})
@@ -400,51 +329,46 @@ func TestIdleTimeoutSparesBusyConns(t *testing.T) {
 // while others are mid-Do, then demands Close idempotency and
 // ErrClientBroken on later use.
 func TestClientCloseConcurrentSafe(t *testing.T) {
-	for _, dial := range []struct {
-		name string
-		fn   func(string) (*Client, error)
-	}{{"v2", Dial}, {"gob", DialGob}} {
-		t.Run(dial.name, func(t *testing.T) {
-			engine := datacube.NewEngine(datacube.Config{Servers: 1})
-			defer engine.Close()
-			srv, err := Serve("127.0.0.1:0", engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			client, err := dial.fn(srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("v2", func(t *testing.T) {
+		engine := datacube.NewEngine(datacube.Config{Servers: 1})
+		defer engine.Close()
+		srv, err := Serve("127.0.0.1:0", engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		client, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			var wg sync.WaitGroup
-			for i := 0; i < 4; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for j := 0; j < 50; j++ {
-						if err := client.Ping(); err != nil {
-							return // the close raced us, as intended
-						}
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 50; j++ {
+					if err := client.Ping(); err != nil {
+						return // the close raced us, as intended
 					}
-				}()
-			}
-			time.Sleep(time.Millisecond)
-			for i := 0; i < 3; i++ {
-				if err := client.Close(); err != nil {
-					t.Fatalf("close %d: %v", i, err)
 				}
+			}()
+		}
+		time.Sleep(time.Millisecond)
+		for i := 0; i < 3; i++ {
+			if err := client.Close(); err != nil {
+				t.Fatalf("close %d: %v", i, err)
 			}
-			wg.Wait()
-			if !client.Broken() {
-				t.Fatal("closed client not reported broken")
-			}
-			err = client.Ping()
-			if err == nil {
-				t.Fatal("ping succeeded on closed client")
-			}
-		})
-	}
+		}
+		wg.Wait()
+		if !client.Broken() {
+			t.Fatal("closed client not reported broken")
+		}
+		err = client.Ping()
+		if err == nil {
+			t.Fatal("ping succeeded on closed client")
+		}
+	})
 }
 
 // nonCanonicalBool is a request body whose one Keep flag is the byte
