@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check build vet test race race-exchange race-replica race-cluster race-pyramid vet-be soak-smoke bench bench-smoke bench-quick examples experiments chaos fuzz-short clean
+.PHONY: all check fmt-check build vet test race race-exchange race-replica race-pyramid vet-be soak-smoke bench bench-smoke bench-quick examples experiments chaos fuzz-short clean
 
 all: build vet test
 
@@ -38,13 +38,6 @@ race-exchange:
 race-replica:
 	$(GO) test -race -count=1 -run 'Lease|Fenc|Reclaim|Shed|FairShare|Starvation|WeightedShares|IdleTenant|Replica|Frontend|Journal' \
 		./internal/execstore/ ./internal/hpcwaas/
-
-# focused race gate over the sharded datacube cluster and its wire
-# protocol: scatter/gather equivalence, replica kill mid-pipeline,
-# heal/resync, typed wire errors, client poisoning, half-open breaker
-race-cluster:
-	$(GO) test -race -count=1 -run 'Cluster|Shard|Failover|Heal|WireError|Poison|Broken|ProtocolGarbage|HalfOpen|PlanReuse|Partial' \
-		./internal/cubecluster/ ./internal/cubeserver/ ./internal/datacube/ ./internal/multisite/
 
 # focused race gate over the resolution pyramid and its consumers: lazy
 # tier builds under concurrent readers, tolerance-aware coarse-first

@@ -23,16 +23,37 @@ type part struct {
 // and where every slice of it lives. explicit is the GLOBAL dimension
 // list (leading size = sum of part ranges); rowless cubes (no explicit
 // dimensions) have a single shard-0 part covering [0,1).
+//
+// An aggrows result is held by the coordinator itself: row is its one
+// row, and parts stays empty until a later step needs the row on a
+// shard (place).
 type entry struct {
 	id       string
 	measure  string
 	explicit []datacube.Dimension
 	implicit datacube.Dimension
 	parts    []part
+	row      []float32
 	meta     map[string]string
+	// pins counts the unlocked pipelines reading the entry (pin).
+	pins int
+}
+
+// heldEntry is the coordinator-held 1 × N result of an aggrows whose
+// reduced rows had the given shape.
+func heldEntry(shape cubeserver.Shape, row []float32) *entry {
+	return &entry{
+		measure:  shape.Measure,
+		explicit: []datacube.Dimension{{Name: "all", Size: 1}},
+		implicit: datacube.Dimension{Name: shape.ImplicitName, Size: len(row)},
+		row:      row,
+	}
 }
 
 func (e *entry) totalRows() int {
+	if e.row != nil {
+		return 1
+	}
 	n := 0
 	for _, p := range e.parts {
 		n += p.rows
@@ -48,13 +69,14 @@ func (e *entry) leadSize() int {
 }
 
 // shape renders the entry as the wire Shape a single engine would
-// report, with Fragments standing in for the part count.
+// report, with Fragments standing in for the part count (1 for a
+// coordinator-held row).
 func (e *entry) shape() cubeserver.Shape {
 	return cubeserver.Shape{
 		CubeID:       e.id,
 		Rows:         e.totalRows(),
 		ImplicitLen:  e.implicit.Size,
-		Fragments:    len(e.parts),
+		Fragments:    max(len(e.parts), 1),
 		Measure:      e.measure,
 		ExplicitDims: append([]datacube.Dimension(nil), e.explicit...),
 		ImplicitName: e.implicit.Name,
@@ -96,6 +118,46 @@ func (cl *Cluster) register(e *entry) *entry {
 	}
 	cl.cat[e.id] = e
 	return e
+}
+
+// place lands a coordinator-held row on shard 0 (every live replica)
+// so that shard operations can read it; entries with parts are left
+// alone.
+func (cl *Cluster) place(e *entry) error {
+	if len(e.parts) > 0 {
+		return nil
+	}
+	shape, ids, _, err := cl.writeShard(0, func(int) *cubeserver.Request {
+		return &cubeserver.Request{
+			Op: "putcube", Var: e.measure, Dims: e.explicit,
+			ImplicitDim: e.implicit.Name, Values: [][]float32{e.row},
+		}
+	})
+	if err != nil {
+		cl.dropParts([]part{{shard: 0, ids: ids}})
+		return err
+	}
+	e.parts = []part{{shard: 0, leadLo: 0, leadHi: 1, rows: shape.Rows, ids: ids}}
+	return nil
+}
+
+// pin keeps entries' shard cubes alive while an unlocked pipeline
+// reads them; unpin releases them, freeing the cubes of an entry
+// deleted meanwhile once its last reader is done.
+func (cl *Cluster) pin(es []*entry) {
+	for _, e := range es {
+		e.pins++
+	}
+}
+
+func (cl *Cluster) unpin(es []*entry) {
+	for _, e := range es {
+		e.pins--
+		if _, gone := cl.unlisted[e]; gone && e.pins == 0 {
+			delete(cl.unlisted, e)
+			cl.dropParts(e.parts)
+		}
+	}
 }
 
 func (cl *Cluster) listIDs() []string {

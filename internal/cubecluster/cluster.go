@@ -57,20 +57,29 @@ type replica struct {
 // mapped onto scatter/gather over the shard fleet, so clients cannot
 // tell a cluster from one big engine (beyond the speedup).
 //
-// Operations are serialized by a coordinator lock; within one
-// operation the per-shard scatter fans out concurrently, and further
-// parallelism lives inside the shard engines' fragment executors.
+// The coordinator lock mu guards the catalog and serializes every
+// operation that registers or deletes shard cubes. A pipeline that
+// registers nothing on any shard (a row-local segment ending in a
+// mergeable aggrows, the Listing-1 shape) holds it only to resolve and
+// pin its inputs and to register the merged row; its scatter runs
+// unlocked, so such queries overlap each other and everything else.
+// Within one operation the per-shard scatter fans out concurrently,
+// and further parallelism lives inside the shard engines' fragment
+// executors.
 type Cluster struct {
 	mu      sync.Mutex
-	stateMu sync.Mutex // replica down/stale flags; see markDown
+	stateMu sync.Mutex // replica transports and down/stale flags; see markDown
 	cfg     Config
 	shards  [][]*replica
 	engines [][]*datacube.Engine // non-nil only for NewLocal replicas
 	cat     map[string]*entry
-	nextID  int
-	healSeq int
-	met     *clMetrics
-	closed  bool
+	// unlisted holds entries deleted while pinned: out of the catalog,
+	// their shard cubes wait for the last unpin.
+	unlisted map[*entry]struct{}
+	nextID   int
+	healSeq  int
+	met      *clMetrics
+	closed   bool
 }
 
 // New builds a coordinator over caller-provided transports, one slice
@@ -81,7 +90,10 @@ func New(cfg Config, transports [][]Transport) (*Cluster, error) {
 		return nil, fmt.Errorf("cubecluster: no shards")
 	}
 	cfg.Shards = len(transports)
-	cl := &Cluster{cfg: cfg, cat: make(map[string]*entry), met: newCLMetrics(cfg.Metrics)}
+	cl := &Cluster{
+		cfg: cfg, cat: make(map[string]*entry), unlisted: make(map[*entry]struct{}),
+		met: newCLMetrics(cfg.Metrics),
+	}
 	for s, reps := range transports {
 		if len(reps) == 0 {
 			return nil, fmt.Errorf("cubecluster: shard %d has no replicas", s)
@@ -165,40 +177,44 @@ func (cl *Cluster) Close() error {
 	return nil
 }
 
+// errClosed reports a request to a closed coordinator.
+var errClosed = fmt.Errorf("cubecluster: coordinator closed: %w", datacube.ErrEngineClosed)
+
 // Dispatch implements cubeserver.Dispatcher over the shard fleet.
 func (cl *Cluster) Dispatch(req *cubeserver.Request) *cubeserver.Response {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
 	resp := &cubeserver.Response{}
 	fail := func(err error) *cubeserver.Response {
 		resp.Err = err.Error()
 		resp.ErrCode = cubeserver.ErrCodeOf(err)
 		return resp
 	}
-	if cl.closed {
-		return fail(fmt.Errorf("cubecluster: coordinator closed: %w", datacube.ErrEngineClosed))
+	switch req.Op {
+	case "pipeline", "apply", "reduce", "reducegroup", "reducestride", "subset", "subsetrows", "intercube", "aggrows":
+		steps := req.Pipeline
+		if req.Op != "pipeline" {
+			steps = []cubeserver.PipelineStep{{
+				Op: req.Op, Expr: req.Expr, RowOp: req.RowOp, Params: req.Params,
+				Group: req.Group, Lo: req.Lo, Hi: req.Hi, OtherID: req.OtherID,
+			}}
+		}
+		shape, err := cl.pipeline(req.CubeID, steps)
+		if err != nil {
+			return fail(err)
+		}
+		resp.Shape = shape
+		return resp
 	}
 
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if cl.closed {
+		return fail(errClosed)
+	}
 	switch req.Op {
 	case "ping":
 		resp.Value = "pong"
 	case "importfiles":
 		e, err := cl.importEntry(req)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Shape = e.shape()
-	case "pipeline":
-		e, err := cl.runSteps(req.CubeID, req.Pipeline)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Shape = e.shape()
-	case "apply", "reduce", "reducegroup", "reducestride", "subset", "subsetrows", "intercube", "aggrows":
-		e, err := cl.runSteps(req.CubeID, []cubeserver.PipelineStep{{
-			Op: req.Op, Expr: req.Expr, RowOp: req.RowOp, Params: req.Params,
-			Group: req.Group, Lo: req.Lo, Hi: req.Hi, OtherID: req.OtherID,
-		}})
 		if err != nil {
 			return fail(err)
 		}
@@ -231,6 +247,10 @@ func (cl *Cluster) Dispatch(req *cubeserver.Request) *cubeserver.Response {
 		}
 		if e.totalRows() != 1 || e.implicit.Size != 1 {
 			return fail(fmt.Errorf("datacube: cube is %d×%d, not scalar", e.totalRows(), e.implicit.Size))
+		}
+		if e.row != nil {
+			resp.Scalar = float64(e.row[0])
+			break
 		}
 		r, err := cl.readPart(&e.parts[0], &cubeserver.Request{Op: "scalar"})
 		if err != nil {
@@ -286,6 +306,9 @@ func (cl *Cluster) fetchRow(e *entry, r int) ([]float32, error) {
 	if r < 0 || r >= e.totalRows() {
 		return nil, fmt.Errorf("datacube: row %d out of range [0,%d)", r, e.totalRows())
 	}
+	if e.row != nil {
+		return e.row, nil
+	}
 	base := 0
 	for i := range e.parts {
 		p := &e.parts[i]
@@ -302,8 +325,12 @@ func (cl *Cluster) fetchRow(e *entry, r int) ([]float32, error) {
 }
 
 // gatherValues concatenates part payloads in global row order; parts
-// are fetched concurrently and stitched back in part order.
+// are fetched concurrently and stitched back in part order. A
+// coordinator-held row is answered from the catalog.
 func (cl *Cluster) gatherValues(e *entry) ([][]float32, error) {
+	if e.row != nil {
+		return [][]float32{e.row}, nil
+	}
 	chunks := make([][][]float32, len(e.parts))
 	err := forEachPart(len(e.parts), func(i int) error {
 		resp, err := cl.readPart(&e.parts[i], &cubeserver.Request{Op: "values"})
@@ -323,23 +350,16 @@ func (cl *Cluster) gatherValues(e *entry) ([][]float32, error) {
 	return out, nil
 }
 
-// deleteEntry frees every replica's slice and drops the catalog record.
-// Unreachable replicas are marked down; their leftovers go when the
-// replica is healed (resync re-seeds from the catalog, which no longer
-// lists the cube).
+// deleteEntry drops the catalog record and frees every replica's
+// slice — at once, or at the last unpin when a running pipeline still
+// reads the entry.
 func (cl *Cluster) deleteEntry(e *entry) {
-	for i := range e.parts {
-		p := &e.parts[i]
-		for rep, id := range p.ids {
-			if id == "" || cl.isDown(p.shard, rep) {
-				continue
-			}
-			if _, err := cl.do(p.shard, rep, &cubeserver.Request{Op: "delete", CubeID: id}); err != nil {
-				cl.markDown(p.shard, rep)
-			}
-		}
-	}
 	delete(cl.cat, e.id)
+	if e.pins > 0 {
+		cl.unlisted[e] = struct{}{}
+		return
+	}
+	cl.dropParts(e.parts)
 }
 
 // exportEntry writes the cube to a GNC1 file coordinator-side, after
@@ -394,9 +414,10 @@ func (cl *Cluster) gatherStats() datacube.Stats {
 			if cl.isDown(s, rep) {
 				continue
 			}
-			resp, err := cl.do(s, rep, &cubeserver.Request{Op: "stats"})
+			tr := cl.shards[s][rep].tr
+			resp, err := cl.send(s, tr, &cubeserver.Request{Op: "stats"})
 			if err != nil {
-				cl.markDown(s, rep)
+				cl.markDown(s, rep, tr)
 				continue
 			}
 			total.FileReads += resp.Stats.FileReads

@@ -163,6 +163,13 @@ func TestClusterPipelineEquivalence(t *testing.T) {
 			{Op: "reducestride", RowOp: "min", Group: 4},
 			{Op: "aggrows", RowOp: "min"},
 		},
+		"aggrows-mid-pipeline": {
+			{Op: "apply", Expr: "x*2"},
+			{Op: "aggrows", RowOp: "max"},
+			{Op: "apply", Expr: "x-1"},
+			{Op: "aggrows", RowOp: "sum"},
+			{Op: "reduce", RowOp: "max"},
+		},
 		"fallback-std": {
 			{Op: "reducegroup", RowOp: "longest_run_below", Group: 8, Params: []float64{6}},
 			{Op: "aggrows", RowOp: "std"},

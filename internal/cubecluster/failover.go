@@ -26,6 +26,8 @@ func (cl *Cluster) ReplaceLocalReplica(shard, rep int) error {
 	cl.engines[shard][rep].Close()
 	e := datacube.NewEngine(cl.cfg.Engine)
 	cl.engines[shard][rep] = e
+	cl.stateMu.Lock()
+	defer cl.stateMu.Unlock()
 	r := cl.shards[shard][rep]
 	_ = r.tr.Close()
 	r.tr = NewEngineTransport(e)
@@ -50,7 +52,7 @@ func (cl *Cluster) Heal() (int, error) {
 	healed := 0
 	for s := range cl.shards {
 		for rep, r := range cl.shards[s] {
-			if !r.down && !r.stale {
+			if cl.healthy(s, rep) {
 				continue
 			}
 			if _, err := r.tr.Do(&cubeserver.Request{Op: "ping"}); err != nil {
@@ -59,10 +61,8 @@ func (cl *Cluster) Heal() (int, error) {
 			if err := cl.resyncReplica(s, rep); err != nil {
 				return healed, fmt.Errorf("cubecluster: resync shard %d replica %d: %w", s, rep, err)
 			}
-			r.down = false
-			r.stale = false
+			cl.markUp(s, rep)
 			cl.met.resyncs.Inc()
-			cl.met.replicaUp.With(strconv.Itoa(s), strconv.Itoa(rep)).Set(1)
 			healed++
 		}
 	}
@@ -71,18 +71,33 @@ func (cl *Cluster) Heal() (int, error) {
 
 // resyncReplica re-seeds every catalog part living on the shard onto
 // one replica. The replica is still marked down, so reads won't touch
-// it mid-copy; do() is used directly for the writes.
+// it mid-copy; its transport is used directly for the writes.
+//
+// Whatever stale copies the replica may still hold are dropped first,
+// for every catalog entry and every entry deleted while pinned, before
+// anything is re-seeded: a restarted replica numbers its cubes afresh,
+// so a stale ID deleted after the first re-seed could name the new
+// copy.
 func (cl *Cluster) resyncReplica(shard, rep int) error {
-	for _, id := range cl.listIDs() {
+	tr := cl.shards[shard][rep].tr
+	forget := func(e *entry) {
+		if p := e.partOn(shard); p != nil && p.ids[rep] != "" {
+			_, _ = cl.send(shard, tr, &cubeserver.Request{Op: "delete", CubeID: p.ids[rep]})
+			p.ids[rep] = ""
+		}
+	}
+	ids := cl.listIDs()
+	for _, id := range ids {
+		forget(cl.cat[id])
+	}
+	for e := range cl.unlisted {
+		forget(e)
+	}
+	for _, id := range ids {
 		e := cl.cat[id]
 		p := e.partOn(shard)
 		if p == nil {
 			continue
-		}
-		// Drop whatever stale copy the replica may still hold.
-		if old := p.ids[rep]; old != "" {
-			_, _ = cl.do(shard, rep, &cubeserver.Request{Op: "delete", CubeID: old})
-			p.ids[rep] = ""
 		}
 
 		cl.healSeq++
@@ -117,7 +132,7 @@ func (cl *Cluster) resyncReplica(shard, rep int) error {
 		for r := 0; r < p.rows; r++ {
 			vals[r] = v.Data[r*e.implicit.Size : (r+1)*e.implicit.Size]
 		}
-		resp, err := cl.do(shard, rep, &cubeserver.Request{
+		resp, err := cl.send(shard, tr, &cubeserver.Request{
 			Op: "putcube", Var: e.measure, Dims: dims,
 			ImplicitDim: e.implicit.Name, Values: vals,
 		})

@@ -30,8 +30,8 @@ type Request struct {
 	// Op selects the operation: importfiles, apply, reduce, reducegroup,
 	// subset, subsetrows, intercube, aggrows, row, values, scalar, list,
 	// delete, export, setmeta, getmeta, stats, shape, ping — plus the
-	// shard-plane operations importshard, aggpartial and putcube used by
-	// the cubecluster coordinator.
+	// shard-plane operations importshard and putcube used by the
+	// cubecluster coordinator.
 	Op string
 
 	CubeID  string
@@ -95,8 +95,9 @@ type Response struct {
 	// over in-process shards) share the engine's storage and must not
 	// be written; a decoded answer owns its rows.
 	Values [][]float32
-	// Partials are the float64 shard-local reduction outputs of
-	// aggpartial (full precision; never rounded through a cube).
+	// Partials are the float64 shard-local reduction outputs of a
+	// pipeline ending in a "partial" step (full precision; never rounded
+	// through a cube).
 	Partials []float64
 	Scalar   float64
 	IDs      []string
@@ -512,7 +513,16 @@ func (s *engineDispatcher) Dispatch(req *Request) *Response {
 		}
 		resp.Value, resp.Found = c.Meta(req.Key)
 	case "pipeline":
-		out, err := runPipeline(s.engine, &PipelineRequest{CubeID: req.CubeID, Steps: req.Pipeline})
+		preq := &PipelineRequest{CubeID: req.CubeID, Steps: req.Pipeline}
+		if endsInPartial(req.Pipeline) {
+			p, shape, err := runPartialPipeline(s.engine, preq)
+			if err != nil {
+				return fail(err)
+			}
+			resp.Partials, resp.Shape = p, shape
+			break
+		}
+		out, err := runPipeline(s.engine, preq)
 		if err != nil {
 			return fail(err)
 		}
@@ -520,17 +530,6 @@ func (s *engineDispatcher) Dispatch(req *Request) *Response {
 	case "stats":
 		resp.Stats = s.engine.Stats()
 		resp.ResidentTotal = s.engine.MemoryBytes()
-	case "aggpartial":
-		c, err := cube(req.CubeID)
-		if err != nil {
-			return fail(err)
-		}
-		p, err := c.AggregateRowsPartial(req.RowOp, req.Params...)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Partials = p
-		resp.Shape = shapeOf(c)
 	case "putcube":
 		c, err := putCube(s.engine, req)
 		if err != nil {
@@ -553,8 +552,9 @@ func (s *engineDispatcher) Dispatch(req *Request) *Response {
 }
 
 // putCube materializes a cube directly from wire values — how the
-// cluster coordinator re-seeds a healed replica or lands a merged
-// aggregation on its home shard.
+// cluster coordinator re-seeds a healed replica or lands a
+// coordinator-held aggregation row on a shard when a later step needs
+// it there.
 func putCube(engine *datacube.Engine, req *Request) (*datacube.Cube, error) {
 	rows := 1
 	for _, d := range req.Dims {

@@ -11,7 +11,8 @@ import (
 // pipeline's source cube.
 type PipelineStep struct {
 	// Op is the operator: apply, reduce, reducegroup, reducestride,
-	// subset, subsetrows, intercube, aggrows, aggtrailing.
+	// subset, subsetrows, intercube, aggrows, aggtrailing — or, as the
+	// last step only, partial (see runPartialPipeline).
 	Op string
 	// Expr is the expression for apply.
 	Expr string
@@ -102,6 +103,45 @@ func runPipeline(engine *datacube.Engine, req *PipelineRequest) (*datacube.Cube,
 		return nil, fmt.Errorf("cubeserver: pipeline: %w", err)
 	}
 	return out, nil
+}
+
+// endsInPartial reports whether a pipeline's last step is the terminal
+// partial step.
+func endsInPartial(steps []PipelineStep) bool {
+	return len(steps) > 0 && steps[len(steps)-1].Op == "partial"
+}
+
+// runPartialPipeline executes a pipeline whose last step is "partial":
+// the shard half of a cluster aggrows. The steps before it run as any
+// pipeline does; the partial step then reduces the rows of their
+// result with its RowOp into one float64 per implicit position
+// (datacube.Cube.AggregateRowsPartial), and that result is deleted
+// again, so the call registers nothing. The returned shape describes
+// the reduced cube (its rows weigh the partial in the merge) and
+// carries no cube ID. A partial step alone reduces the source itself.
+func runPartialPipeline(engine *datacube.Engine, req *PipelineRequest) ([]float64, Shape, error) {
+	steps := req.Steps
+	last := steps[len(steps)-1]
+	var c *datacube.Cube
+	var err error
+	if len(steps) == 1 {
+		c, err = engine.Get(req.CubeID)
+	} else {
+		c, err = runPipeline(engine, &PipelineRequest{CubeID: req.CubeID, Steps: steps[:len(steps)-1]})
+		if err == nil {
+			defer c.Delete()
+		}
+	}
+	if err != nil {
+		return nil, Shape{}, err
+	}
+	p, err := c.AggregateRowsPartial(last.RowOp, last.Params...)
+	if err != nil {
+		return nil, Shape{}, fmt.Errorf("cubeserver: pipeline: %w", err)
+	}
+	shape := shapeOf(c)
+	shape.CubeID = ""
+	return p, shape, nil
 }
 
 // Pipeline executes an operator chain server-side and returns the

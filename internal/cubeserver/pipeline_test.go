@@ -2,6 +2,8 @@ package cubeserver
 
 import (
 	"testing"
+
+	"repro/internal/datacube"
 )
 
 func TestPipelineOneRoundTrip(t *testing.T) {
@@ -103,5 +105,60 @@ func TestPipelineErrorsAtomic(t *testing.T) {
 	}
 	if _, err := cube.Pipeline(PipelineStep{Op: "intercube", RowOp: "add", OtherID: "cube-999"}); err == nil {
 		t.Fatal("missing operand accepted")
+	}
+}
+
+// TestPipelinePartialRegistersNothing drives the shard half of a
+// cluster aggrows over the wire: a pipeline ending in a partial step
+// answers the float64 partials of its segment's result, exactly as
+// AggregateRowsPartial over that registered result would, and leaves
+// no cube behind; a partial step alone reduces the source. A partial
+// step anywhere but last is refused.
+func TestPipelinePartialRegistersNothing(t *testing.T) {
+	client, engine := startServer(t)
+	path := writeTestFile(t, t.TempDir(), "a.nc")
+	cube, err := client.ImportFiles([]string{path}, "T", "time")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := []PipelineStep{{Op: "apply", Expr: "x*3"}, {Op: "apply", Expr: "x+0.5"}}
+	ref, err := cube.Pipeline(seg...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCube, err := engine.Get(ref.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := engine.Get(cube.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(engine.List())
+	for _, c := range []struct {
+		steps []PipelineStep
+		over  *datacube.Cube
+	}{
+		{append(seg, PipelineStep{Op: "partial", RowOp: "sum"}), refCube},
+		{[]PipelineStep{{Op: "partial", RowOp: "sum"}}, src},
+	} {
+		resp, err := client.call(&Request{Op: "pipeline", CubeID: cube.ID(), Pipeline: c.steps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.over.AggregateRowsPartial("sum")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameF64Bits(resp.Partials, want) || resp.Shape.CubeID != "" {
+			t.Fatalf("partials %v (cube %q), want %v and no cube", resp.Partials, resp.Shape.CubeID, want)
+		}
+		if got := len(engine.List()); got != before {
+			t.Fatalf("resident cubes = %d, want %d (the segment result leaked)", got, before)
+		}
+	}
+	bad := []PipelineStep{{Op: "partial", RowOp: "sum"}, {Op: "apply", Expr: "x"}}
+	if _, err := cube.Pipeline(bad...); err == nil {
+		t.Fatal("a partial step before the last one should be refused")
 	}
 }
