@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check build vet test race race-exchange race-replica race-pyramid vet-be soak-smoke bench bench-smoke bench-quick examples experiments chaos fuzz-short clean
+.PHONY: all check fmt-check build vet test race race-exchange race-pyramid vet-be soak-smoke bench bench-smoke bench-quick examples experiments chaos fuzz-short clean
 
 all: build vet test
 
@@ -31,13 +31,6 @@ race:
 race-exchange:
 	$(GO) test -race -count=1 -run 'Exchange|HotSwap|Online|SeededDeterminism|DirWatcher' \
 		./internal/texchange/ ./internal/ml/ ./internal/core/ ./internal/stream/
-
-# focused race gate over the replicated control plane: lease fencing,
-# fair-share dispatch, shed taxonomy, replica kill/restart soak and the
-# stateless HTTP frontends sharing one store
-race-replica:
-	$(GO) test -race -count=1 -run 'Lease|Fenc|Reclaim|Shed|FairShare|Starvation|WeightedShares|IdleTenant|Replica|Frontend|Journal' \
-		./internal/execstore/ ./internal/hpcwaas/
 
 # focused race gate over the resolution pyramid and its consumers: lazy
 # tier builds under concurrent readers, tolerance-aware coarse-first
@@ -92,7 +85,7 @@ experiments:
 # race detector, then the end-to-end crash/resume driver (see DESIGN.md
 # "Failure model & recovery")
 chaos:
-	$(GO) test -race -run 'Chaos|Injected|Retry|Timeout|Breaker|Corrupt|Torn' ./internal/chaos/ ./internal/compss/ ./internal/dls/ ./internal/multisite/ ./internal/execq/ ./internal/execstore/ ./internal/core/
+	$(GO) test -race -run 'Chaos|Injected|Retry|Timeout|Breaker|Corrupt|Torn' ./internal/chaos/ ./internal/compss/ ./internal/dls/ ./internal/multisite/ ./internal/execstore/ ./internal/core/
 	$(GO) run ./cmd/chaosrun
 	$(GO) run ./cmd/chaosrun -mode replica
 

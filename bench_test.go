@@ -40,7 +40,6 @@ import (
 	"repro/internal/cubeserver"
 	"repro/internal/datacube"
 	"repro/internal/esm"
-	"repro/internal/execq"
 	"repro/internal/grid"
 	"repro/internal/indices"
 	"repro/internal/ml"
@@ -945,34 +944,4 @@ func BenchmarkESMHandoff(b *testing.B) {
 		// wait loads the payload back from the spill file.
 		runExchange(b, texchange.Config{Budget: 1, SpillDir: b.TempDir()})
 	})
-}
-
-// BenchmarkExecQueueThroughput measures the HPCWaaS execution queue's
-// job throughput across a worker-pool sweep (the admission-control
-// subsystem in front of the Execution API): no-op jobs isolate the
-// queue's own dispatch overhead.
-func BenchmarkExecQueueThroughput(b *testing.B) {
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			q, err := execq.New(execq.Config{Workers: workers, QueueDepth: b.N + workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer q.Close()
-			run := func(ctx context.Context) error { return nil }
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := q.Submit(execq.Job{Run: run}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			if err := q.WaitIdle(ctx); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-		})
-	}
 }

@@ -1,13 +1,13 @@
 // Hpcwaas walks the full HPC-Workflows-as-a-Service lifecycle of the
-// paper's Figure 1 against a live REST service — now with the bounded
-// multi-tenant execution queue in front of the workers: the developer
-// registers the climate-extremes workflow with its TOSCA topology; the
-// deployer (Yorc role) builds container images and stages data; the
-// final user then drives everything over plain HTTP: submissions past
-// the admission limit bounce with 429 + Retry-After, accepted ones are
-// observable through QUEUED → RUNNING → DONE, a queued execution is
-// cancelled mid-flight, GET /api/queue exposes depth and latency, and
-// the service drains cleanly at the end.
+// paper's Figure 1 against a live REST service — the same control plane
+// hpcwaas-server runs, one hpcwaas.Frontend over an execution store
+// (internal/execstore): the developer registers the climate-extremes
+// workflow with its TOSCA topology; the deployer (Yorc role) builds
+// container images and stages data; the final user then drives
+// everything over plain HTTP: a submission past the user's quota
+// bounces with 429 + Retry-After, accepted ones are observable through
+// QUEUED → RUNNING → DONE, one is cancelled mid-flight, GET /api/store
+// exposes depth and leases, and the service drains cleanly at the end.
 package main
 
 import (
@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dls"
 	"repro/internal/esm"
+	"repro/internal/execstore"
 	"repro/internal/grid"
 	"repro/internal/hpcwaas"
 	"repro/internal/imagebuilder"
@@ -64,17 +65,21 @@ func main() {
 		Steps: []dls.Step{{Kind: "stage_in", Dataset: "climatology", Dir: filepath.Join(workDir, "staged")}},
 	}
 
-	// A deliberately tiny queue so admission control is visible: one
-	// worker, two queued slots, at most three live executions per user.
-	svc, err := hpcwaas.NewServiceWith(registry, deployer, hpcwaas.ServiceConfig{
-		Workers: 1, QueueDepth: 2, PerPrincipalLimit: 3,
+	// A deliberately tight quota so admission control is visible: one
+	// worker, at most three live executions per user.
+	store, err := execstore.Open(execstore.Config{MaxPending: 8, PerTenantLimit: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	front, err := hpcwaas.NewFrontend(hpcwaas.FrontendConfig{
+		ID: "api-0", Store: store, Registry: registry, Deployer: deployer, Workers: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	server := httptest.NewServer(svc.Handler())
+	server := httptest.NewServer(front.Handler())
 	defer server.Close()
-	fmt.Printf("HPCWaaS execution API listening at %s (1 worker, queue depth 2)\n\n", server.URL)
+	fmt.Printf("HPCWaaS execution API listening at %s (1 worker, quota 3 per user)\n\n", server.URL)
 
 	// --- user side: pure REST from here on -------------------------------
 	var workflows []map[string]any
@@ -87,7 +92,7 @@ func main() {
 	fmt.Printf("POST .../deploy -> %s on %s (%s)\n\n", dep["ID"], dep["Target"], dep["Status"])
 
 	// Submit four executions back to back. The first occupies the lone
-	// worker, two wait in the queue, and the fourth is turned away.
+	// worker, two wait their turn, and the fourth is over the quota.
 	params := map[string]string{"years": "1", "days_per_year": "12", "seed": "42"}
 	var ids []string
 	for i := 1; i <= 4; i++ {
@@ -104,12 +109,11 @@ func main() {
 		}
 	}
 
-	// The queue endpoint shows where everything sits.
+	// The store endpoint shows where everything sits.
 	var stats map[string]any
-	getJSON(server.URL+"/api/queue", &stats)
-	fmt.Printf("\nGET /api/queue -> depth %v/%v, running %v, rejected(full+quota) %v\n",
-		stats["depth"], stats["capacity"], stats["running"],
-		asFloat(stats["rejected_full"])+asFloat(stats["rejected_quota"]))
+	getJSON(server.URL+"/api/store", &stats)
+	fmt.Printf("\nGET /api/store -> pending %v, leased %v, shed %v\n",
+		stats["pending"], stats["leased"], stats["shed"])
 
 	// Cancel the last accepted execution while it still waits its turn.
 	last := ids[len(ids)-1]
@@ -140,10 +144,14 @@ func main() {
 	fmt.Printf("results: %v years processed, %v files, heat-wave mean %v\n\n",
 		results["years_processed"], results["files_produced"], results["hw_mean_year_1"])
 
-	// Drain: intake stops, in-flight executions finish, workers exit.
+	// Drain: intake stops, the backlog finishes, the executor exits.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := svc.Drain(ctx); err != nil {
+	store.Drain()
+	if err := store.WaitIdle(ctx); err != nil {
+		log.Fatal(err)
+	}
+	if err := front.Drain(ctx); err != nil {
 		log.Fatal(err)
 	}
 	var final []map[string]any
@@ -152,7 +160,7 @@ func main() {
 	for _, e := range final {
 		fmt.Printf("  %-8s %s\n", e["id"], e["status"])
 	}
-	if err := svc.Close(); err != nil {
+	if err := store.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("server shut down cleanly")
@@ -203,11 +211,6 @@ func atoiDefault(s string, def int) int {
 		return def
 	}
 	return n
-}
-
-func asFloat(v any) float64 {
-	f, _ := v.(float64)
-	return f
 }
 
 // do issues a request and returns status, headers and raw body.

@@ -655,7 +655,7 @@ func (r *Runtime) dispatch(in *invocation) {
 		var err error
 		// Retry with capped exponential backoff + jitter: an immediate
 		// hot retry hammers whatever made the attempt fail (the thundering
-		// herd the execq queue already avoids); errors marked Permanent
+		// herd the execution store's backoff also avoids); errors marked Permanent
 		// skip the budget because retrying cannot help.
 		sp := r.tracer.Start(in.def.Name, obs.Attr{Key: "seq", Value: strconv.Itoa(in.seq)})
 		for attempt := 0; ; attempt++ {

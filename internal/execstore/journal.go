@@ -10,11 +10,11 @@ import (
 	"time"
 )
 
-// The store journal is a JSON-lines file in the execq idiom: one record
-// per line, either a "submit" (full task description) or a terminal
-// "state" transition. Leases are deliberately NOT journaled — they are
-// volatile coordination state, and recording every acquire/renew would
-// make the journal a write amplifier. On replay, every submitted task
+// The store journal is a JSON-lines file: one record per line, either a
+// "submit" (full task description) or a terminal "state" transition.
+// Leases are deliberately NOT journaled — they are volatile
+// coordination state, and recording every acquire/renew would make the
+// journal a write amplifier. On replay, every submitted task
 // without a terminal record is pending again: a task that was LEASED at
 // crash time simply re-runs, and the epoch fence (resumed past the
 // highest journaled epoch) guarantees any straggler completion from

@@ -27,7 +27,6 @@ type smetrics struct {
 	canceled       *obs.Counter
 	retried        *obs.Counter
 	reclaimed      *obs.Counter
-	released       *obs.Counter
 	fenced         *obs.Counter
 	shed           *obs.CounterVec
 	wait           *obs.Histogram
@@ -47,7 +46,6 @@ func newSMetrics(reg *obs.Registry) *smetrics {
 		canceled:       reg.Counter("execstore_canceled_total", "Tasks canceled."),
 		retried:        reg.Counter("execstore_retried_total", "Transient failures re-queued with backoff."),
 		reclaimed:      reg.Counter("execstore_leases_reclaimed_total", "Expired leases reclaimed from dead or skewed holders."),
-		released:       reg.Counter("execstore_leases_released_total", "Leases given back unrun: re-queued at once, attempt not charged."),
 		fenced:         reg.Counter("execstore_fenced_total", "Completions/failures rejected for a stale lease epoch."),
 		shed:           reg.CounterVec("execstore_shed_total", "Submissions shed at admission, by reason.", "reason"),
 		wait:           reg.Histogram("execstore_wait_seconds", "Queue-to-lease latency.", histBounds),
@@ -140,8 +138,6 @@ type Stats struct {
 	Canceled           uint64 `json:"canceled"`
 	Retried            uint64 `json:"retried"`
 	Reclaimed          uint64 `json:"reclaimed"`
-	// Released counts leases given back unrun (Store.Release).
-	Released uint64 `json:"released"`
 	// Fenced counts completions or failures rejected because their
 	// lease epoch was stale — each one is a double-execution the fence
 	// turned into a no-op.
@@ -185,7 +181,6 @@ func (s *Store) Stats() Stats {
 		Canceled:           count(s.met.canceled),
 		Retried:            count(s.met.retried),
 		Reclaimed:          count(s.met.reclaimed),
-		Released:           count(s.met.released),
 		Fenced:             count(s.met.fenced),
 		Shed:               shed,
 		BacklogCostSeconds: s.backlogSecs,

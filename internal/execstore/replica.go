@@ -6,9 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"repro/internal/execq"
 )
 
 // Handler executes one leased task and returns its output. Handlers
@@ -39,30 +38,42 @@ type ReplicaConfig struct {
 }
 
 // Replica is one stateless executor: a fetch loop that leases tasks
-// from the shared store, a local execq worker pool that runs them, and
-// a renew loop that keeps held leases alive at TTL/3. All durable state
-// lives in the store — Kill a replica and nothing is lost: its leases
-// expire, the store reclaims the tasks, and a peer replica (or this one
-// after restart) re-runs them behind the epoch fence.
+// from the shared store, a pool of Workers goroutines fed by one
+// buffered channel that runs them, and a renew loop that keeps held
+// leases alive at TTL/3. The store is the only queue and owns the retry
+// policy: every outcome is reported to it. All durable state lives in
+// the store — Kill a replica and nothing is lost: its leases expire,
+// the store reclaims the tasks, and a peer replica (or this one after
+// restart) re-runs them behind the epoch fence.
 type Replica struct {
 	cfg    ReplicaConfig
-	q      *execq.Queue
-	ctx    context.Context
+	ctx    context.Context // fetch and renew loops
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
-	// fetched closes when the fetch loop has returned: every lease it
-	// acquired has been handed to the local queue or given back.
-	fetched chan struct{}
+	// runCtx parents every local task's context; stopRun cancels the
+	// handlers still running when the replica is killed or a drain
+	// times out.
+	runCtx  context.Context
+	stopRun context.CancelFunc
+	wg      sync.WaitGroup // fetch and renew loops
+	pool    sync.WaitGroup // workers
+	// work carries dispatched tasks to the workers. Its buffer holds
+	// Workers+Prefetch, the most capacity() ever lets be in flight, so
+	// a dispatch never blocks and is never refused.
+	work      chan *localJob
+	closeWork sync.Once
+	// inflight counts tasks dispatched and not yet returned by a worker.
+	inflight atomic.Int64
 
 	mu     sync.Mutex
 	killed bool
-	local  map[string]localJob // taskID -> local execution
+	local  map[string]*localJob // taskID -> local execution
 }
 
-// localJob ties a held lease to the execq job running it.
+// localJob is one held lease and the cancel func of its local run.
 type localJob struct {
-	jobID string
-	lease Lease
+	lease  Lease
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // NewReplica starts an executor replica against the store.
@@ -88,32 +99,37 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 			cfg.RenewEvery = time.Millisecond
 		}
 	}
-	q, err := execq.New(execq.Config{
-		Workers: cfg.Workers,
-		// Local depth = 2×prefetch: enough headroom that a fetched batch
-		// always fits (the fetch loop gates on local idle capacity).
-		QueueDepth: 2 * cfg.Prefetch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	r := &Replica{cfg: cfg, q: q, local: make(map[string]localJob), fetched: make(chan struct{})}
-	r.ctx, r.cancel = context.WithCancel(context.Background())
+	r := newReplica(cfg)
 	cfg.Store.RegisterReplica(cfg.ID, cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
+		r.pool.Add(1)
+		go r.worker()
+	}
 	r.wg.Add(2)
 	go r.fetchLoop()
 	go r.renewLoop()
 	return r, nil
 }
 
+// newReplica builds a replica with no goroutines started.
+func newReplica(cfg ReplicaConfig) *Replica {
+	r := &Replica{
+		cfg:   cfg,
+		work:  make(chan *localJob, cfg.Workers+cfg.Prefetch),
+		local: make(map[string]*localJob),
+	}
+	r.ctx, r.cancel = context.WithCancel(context.Background())
+	r.runCtx, r.stopRun = context.WithCancel(context.Background())
+	return r
+}
+
 // ID returns the replica's name.
 func (r *Replica) ID() string { return r.cfg.ID }
 
 // fetchLoop pulls leases from the store whenever local workers have
-// capacity and hands each to the local queue as a Run closure.
+// capacity and hands each to the pool.
 func (r *Replica) fetchLoop() {
 	defer r.wg.Done()
-	defer close(r.fetched)
 	for {
 		want := r.capacity()
 		if want == 0 {
@@ -137,60 +153,66 @@ func (r *Replica) fetchLoop() {
 
 // capacity is how many more tasks the local pool can take.
 func (r *Replica) capacity() int {
-	st := r.q.Stats()
-	free := r.cfg.Workers + r.cfg.Prefetch - st.Running - st.Depth
-	if free < 0 {
-		free = 0
-	}
-	if free > r.cfg.Prefetch {
-		free = r.cfg.Prefetch
-	}
-	return free
+	free := r.cfg.Workers + r.cfg.Prefetch - int(r.inflight.Load())
+	return max(0, min(free, r.cfg.Prefetch))
 }
 
-// dispatch runs one leased task on the local queue. The closure reports
-// the outcome to the STORE, never to execq: retry policy is global
-// (task.Retries, store backoff), so the local job always "succeeds"
-// from execq's perspective. A killed replica reports nothing — the
-// lease expires and the store reclaims the task.
+// dispatch hands one leased task to the pool under its own cancel func.
 func (r *Replica) dispatch(l Lease) {
-	lease := l
-	jobID := fmt.Sprintf("%s.%s.e%d", r.cfg.ID, lease.TaskID, lease.Epoch)
+	ctx, cancel := context.WithCancel(r.runCtx)
+	j := &localJob{lease: l, ctx: ctx, cancel: cancel}
+	r.inflight.Add(1)
 	r.mu.Lock()
-	r.local[lease.TaskID] = localJob{jobID: jobID, lease: lease}
+	r.local[l.TaskID] = j
 	r.mu.Unlock()
-	_, err := r.q.Submit(execq.Job{
-		ID:        jobID,
-		Principal: lease.Task.Tenant,
-		Run: func(ctx context.Context) error {
-			out, herr := r.cfg.Handler(ctx, lease.Task)
-			r.mu.Lock()
-			dead := r.killed
-			delete(r.local, lease.TaskID)
-			r.mu.Unlock()
-			if dead {
-				return nil // abandoned: say nothing, let the lease expire
-			}
-			if herr != nil {
-				r.cfg.Store.Fail(lease, herr)
-				return nil
-			}
-			r.cfg.Store.Complete(lease, out)
-			return nil
-		},
-	})
-	if err != nil {
-		// The local queue refused the job (it is closing): the task never
-		// ran, so give the lease back rather than fail an attempt. A
-		// killed replica says nothing; its lease expires.
-		r.mu.Lock()
-		delete(r.local, lease.TaskID)
-		dead := r.killed
-		r.mu.Unlock()
-		if !dead {
-			r.cfg.Store.Release(lease)
-		}
+	r.work <- j
+}
+
+// worker runs dispatched tasks until the work channel closes.
+func (r *Replica) worker() {
+	defer r.pool.Done()
+	for j := range r.work {
+		r.run(j)
+		r.inflight.Add(-1)
 	}
+}
+
+// run executes one task and reports the outcome to the store. A task
+// whose context is already canceled is skipped: cancelLocal has
+// reported it, or the replica is stopping and its lease will expire. A
+// killed replica reports nothing either; the store reclaims the task.
+func (r *Replica) run(j *localJob) {
+	defer j.cancel()
+	skip := j.ctx.Err() != nil
+	var out json.RawMessage
+	var err error
+	if !skip {
+		out, err = r.handle(j)
+	}
+	r.mu.Lock()
+	dead := r.killed
+	if r.local[j.lease.TaskID] == j {
+		delete(r.local, j.lease.TaskID)
+	}
+	r.mu.Unlock()
+	switch {
+	case skip || dead:
+	case err != nil:
+		r.cfg.Store.Fail(j.lease, err)
+	default:
+		r.cfg.Store.Complete(j.lease, out)
+	}
+}
+
+// handle calls the Handler, turning a panic into a failed attempt so
+// one bad task cannot take the process down.
+func (r *Replica) handle(j *localJob) (out json.RawMessage, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			out, err = nil, fmt.Errorf("execstore: handler panicked: %v", p)
+		}
+	}()
+	return r.cfg.Handler(j.ctx, j.lease.Task)
 }
 
 // renewLoop extends held leases at the configured cadence and cancels
@@ -206,8 +228,6 @@ func (r *Replica) renewLoop() {
 		case <-tick.C:
 			_, canceled := r.cfg.Store.Renew(r.cfg.ID)
 			for _, id := range canceled {
-				// Cancel the local run; its Fail(ctx.Err()) finalizes
-				// the task as CANCELED in the store.
 				r.cancelLocal(id)
 			}
 		}
@@ -215,32 +235,46 @@ func (r *Replica) renewLoop() {
 }
 
 // cancelLocal cancels the local job executing the given task, then
-// fails the lease back as canceled. If the job was still queued its Run
-// closure never fires, so this Fail is the only report; if it was
-// running, whichever report lands first wins and the other is fenced as
-// a no-op — either way the task finalizes exactly once.
+// fails the lease back as canceled. A job still waiting on the work
+// channel is skipped by its worker, so this Fail is its only report; a
+// running one may report too, and whichever lands first wins while the
+// other is fenced as a no-op — either way the task finalizes exactly
+// once.
 func (r *Replica) cancelLocal(taskID string) {
 	r.mu.Lock()
-	lj, ok := r.local[taskID]
+	j, ok := r.local[taskID]
 	r.mu.Unlock()
 	if !ok {
 		return
 	}
-	r.q.Cancel(lj.jobID)
-	r.cfg.Store.Fail(lj.lease, context.Canceled)
+	j.cancel()
+	r.cfg.Store.Fail(j.lease, context.Canceled)
 }
 
 // Drain gracefully stops the replica: no new leases are fetched, and
-// every lease already fetched — queued or running — runs to completion
-// and reports. The fetch loop is stopped and joined before the local
-// queue drains, so no lease it holds can meet a closing queue.
+// every lease already fetched — waiting or running — runs to completion
+// and reports. The fetch loop is joined before the work channel closes.
+// If work is still running when ctx expires, Drain cancels the running
+// handlers, waits for them to return and reports ctx.Err().
 func (r *Replica) Drain(ctx context.Context) error {
 	r.cancel()
-	<-r.fetched
-	err := r.q.Drain(ctx)
 	r.wg.Wait()
+	r.closeWork.Do(func() { close(r.work) })
+	done := make(chan struct{})
+	go func() {
+		r.pool.Wait()
+		close(done)
+	}()
+	var err error
+	select {
+	case <-done:
+	case <-ctx.Done():
+		err = ctx.Err()
+		r.stopRun()
+		<-done
+	}
 	r.cfg.Store.DeregisterReplica(r.cfg.ID)
-	r.q.Close()
+	r.stopRun()
 	return err
 }
 
@@ -257,6 +291,8 @@ func (r *Replica) Kill() {
 	r.killed = true
 	r.mu.Unlock()
 	r.cancel()
-	r.q.Close() // cancels running contexts; closures see killed and stay silent
+	r.stopRun()
 	r.wg.Wait()
+	r.closeWork.Do(func() { close(r.work) })
+	r.pool.Wait()
 }

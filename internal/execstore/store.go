@@ -1,12 +1,12 @@
-// Package execstore is the shared execution store behind the replicated
-// HPCWaaS control plane. Where internal/execq is one process's bounded
-// worker queue, execstore is the state that N stateless API replicas
-// share: tasks are submitted once, claimed by replicas under
-// epoch-fenced leases, and completed exactly once — a replica that
-// crashes or partitions simply stops renewing, its leases expire, its
-// tasks are reclaimed for other replicas, and any completion it later
-// delivers under the stale lease is fenced out by the epoch token
-// (the fencing-token pattern; Merlin's producer/consumer task server is
+// Package execstore is the shared execution store behind the HPCWaaS
+// control plane: the one queue every hpcwaas.Frontend submits to and
+// every executor Replica leases from, whether one replica runs in the
+// process or N stateless ones share the store. Tasks are submitted
+// once, claimed by replicas under epoch-fenced leases, and completed
+// exactly once — a replica that crashes or partitions simply stops
+// renewing, its leases expire, its tasks are reclaimed for other
+// replicas, and any completion it later delivers under the stale lease
+// is fenced out by the epoch token (the fencing-token pattern; Merlin's producer/consumer task server is
 // the scale exemplar, Peterson et al. 2019).
 //
 // Three control-plane policies live here because they must be global to
@@ -26,8 +26,8 @@
 //
 // The store is in-process (replicas share the *Store) and optionally
 // file-backed: a JSON-lines journal with size-triggered compaction
-// recovers pending work after a store crash, in the execq journal
-// idiom (torn/corrupt lines are skipped and counted, never fatal).
+// recovers pending work after a store crash (torn or corrupt lines
+// anywhere in the file are skipped and counted, never fatal).
 package execstore
 
 import (
@@ -739,30 +739,6 @@ func (s *Store) Fail(l Lease, cause error) error {
 	return nil
 }
 
-// Release gives a leased task back unrun: a replica that cannot start
-// it (its local queue is closing) hands it back instead of failing it.
-// The task re-queues at once with no backoff, and the attempt its
-// acquire charged is returned, so a hand-back never spends retry
-// budget. Like Fail it is fenced by the lease epoch; a pending cancel
-// request finalizes the task CANCELED instead, and that is not counted
-// as released.
-func (s *Store) Release(l Lease) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, err := s.heldLocked(l)
-	if err != nil {
-		return err
-	}
-	if t.cancelReq {
-		s.finalizeLocked(t, StateCanceled, context.Canceled, s.now())
-		return nil
-	}
-	s.met.released.Inc()
-	t.attempt--
-	s.requeueLocked(t, s.now(), 0)
-	return nil
-}
-
 // heldLocked returns the task l still holds, or the fence error: the
 // task is unknown, or its lease epoch moved on.
 func (s *Store) heldLocked(l Lease) (*task, error) {
@@ -1040,10 +1016,10 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// maybeCompactLocked mirrors the execq journal policy: once the file
-// outgrows the bound, rewrite it down to the live tasks; floor the next
-// trigger at twice the compacted size so a full store does not
-// recompact on every append.
+// maybeCompactLocked bounds the journal: once the file outgrows the
+// bound, rewrite it down to the live tasks; floor the next trigger at
+// twice the compacted size so a full store does not recompact on every
+// append.
 func (s *Store) maybeCompactLocked() {
 	if s.journal == nil || s.cfg.JournalMaxBytes <= 0 {
 		return

@@ -236,6 +236,53 @@ func TestCancelSemantics(t *testing.T) {
 	}
 }
 
+// TestCancelRetryingTask: a task parked behind a retry backoff is still
+// PENDING, so it cancels at once and never dispatches again.
+func TestCancelRetryingTask(t *testing.T) {
+	clk := newFakeClock()
+	s := openStore(t, Config{LeaseTTL: time.Minute, nowFn: clk.now})
+	mustSubmit(t, s, Task{ID: "r", Tenant: "x", Retries: 1})
+	lr := s.TryAcquire("rep-1", 1)
+	if err := s.Fail(lr[0], errors.New("transient")); err != nil {
+		t.Fatalf("Fail transient: %v", err)
+	}
+	if err := s.Cancel("r"); err != nil {
+		t.Fatalf("Cancel parked: %v", err)
+	}
+	clk.advance(time.Minute)
+	if v, _ := s.Get("r"); v.State != StateCanceled {
+		t.Fatalf("parked cancel: %+v", v)
+	}
+	if got := s.TryAcquire("rep-1", 1); len(got) != 0 {
+		t.Fatalf("canceled task dispatched: %+v", got)
+	}
+	if st := s.Stats(); st.Canceled != 1 || st.Pending != 0 {
+		t.Fatalf("canceled %d pending %d, want 1 0", st.Canceled, st.Pending)
+	}
+}
+
+// TestDuplicateAndAutoIDs: an empty ID gets the next task-N, a
+// caller-chosen ID is kept, and a duplicate is refused.
+func TestDuplicateAndAutoIDs(t *testing.T) {
+	s := openStore(t, Config{})
+	if v := mustSubmit(t, s, Task{Tenant: "x"}); v.ID != "task-1" {
+		t.Fatalf("auto id = %s, want task-1", v.ID)
+	}
+	mustSubmit(t, s, Task{ID: "mine", Tenant: "x"})
+	if _, err := s.Submit(Task{ID: "mine", Tenant: "x"}); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("duplicate submit: %v, want ErrDuplicateID", err)
+	}
+	if _, err := s.Submit(Task{ID: "task-1", Tenant: "x"}); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("duplicate of an auto id: %v, want ErrDuplicateID", err)
+	}
+	if v := mustSubmit(t, s, Task{Tenant: "x"}); v.ID != "task-2" {
+		t.Fatalf("auto id = %s, want task-2", v.ID)
+	}
+	if st := s.Stats(); st.Submitted != 3 || st.Pending != 3 {
+		t.Fatalf("submitted %d pending %d, want 3 3", st.Submitted, st.Pending)
+	}
+}
+
 func TestShedTaxonomy(t *testing.T) {
 	clk := newFakeClock()
 
@@ -410,6 +457,51 @@ func TestJournalRecoveryResumesEpochAndPending(t *testing.T) {
 	}
 }
 
+// TestJournalReplaySkipsCorruptMidFileLines: a partial fsync after
+// power loss can tear lines anywhere in the journal, not just the final
+// append. Replay skips each bad line with a counted warning and keeps
+// every decodable record.
+func TestJournalReplaySkipsCorruptMidFileLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.journal")
+	lines := []string{
+		`{"op":"submit","id":"j1","tenant":"a","t":"2026-01-01T00:00:00Z"}`,
+		`{"op":"submit","id":"j2","tenant":"a","t":"2026-01-01T00:00:01Z"}`,
+		"\x00\x00garbage not json at all\x7f",                          // mid-file garbage
+		`{"op":"state","id":"j2","state":"DONE","epoch":7,"t":"2026-0`, // truncated mid-record
+		`{"op":"submit","id":"j3","tenant":"b","t":"2026-01-01T00:00:02Z"}`,
+		`{"op":"state","id":"j1","state":"DONE","epoch":5,"t":"2026-01-01T00:00:03Z"}`,
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, Config{JournalPath: path, LeaseTTL: time.Minute})
+	st := s.Stats()
+	if st.JournalSkipped != 2 {
+		t.Fatalf("JournalSkipped = %d, want 2 (garbage + truncated)", st.JournalSkipped)
+	}
+	// j1 finished; j2's DONE transition was the torn line, so it is
+	// conservatively still live; j3 never finished.
+	if st.Recovered != 2 {
+		t.Fatalf("Recovered = %d, want 2", st.Recovered)
+	}
+	if _, ok := s.Get("j1"); ok {
+		t.Fatal("j1 finished before the crash but came back")
+	}
+	for _, id := range []string{"j2", "j3"} {
+		if v, ok := s.Get(id); !ok || v.State != StatePending {
+			t.Fatalf("%s: %+v, want PENDING", id, v)
+		}
+	}
+	if v, _ := s.Get("j3"); v.Tenant != "b" {
+		t.Fatalf("j3 tenant %q, want b", v.Tenant)
+	}
+	// j1's terminal record is decodable, so its epoch feeds the fence;
+	// the torn record's epoch 7 was never read.
+	if want := uint64(5 + epochRestartGap); st.Epoch != want {
+		t.Fatalf("epoch = %d, want %d", st.Epoch, want)
+	}
+}
+
 func TestJournalCompactionBoundsFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.journal")
@@ -442,6 +534,59 @@ func TestJournalCompactionBoundsFile(t *testing.T) {
 	// the file may overshoot by at most one pre-compaction burst.
 	if fi.Size() > 3*maxBytes {
 		t.Fatalf("journal grew to %d bytes despite compaction (bound %d)", fi.Size(), 3*maxBytes)
+	}
+}
+
+// TestCompactedJournalRecoversLiveWork: after churn has compacted the
+// journal, work live at a crash still comes back, and a corrupt line
+// in the compacted file is skipped rather than failing the replay.
+func TestCompactedJournalRecoversLiveWork(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.journal")
+	clk := newFakeClock()
+	cfg := Config{JournalPath: path, JournalMaxBytes: 2048, LeaseTTL: time.Minute, nowFn: clk.now}
+
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 200; i++ {
+		mustSubmit(t, s, Task{Tenant: "x", Kind: "k"})
+		l := s.TryAcquire("rep", 1)
+		if err := s.Complete(l[0], nil); err != nil {
+			t.Fatalf("Complete %d: %v", i, err)
+		}
+	}
+	if s.Stats().JournalCompactions == 0 {
+		t.Fatal("churn never triggered a compaction")
+	}
+	for i := 0; i < 5; i++ {
+		mustSubmit(t, s, Task{ID: fmt.Sprintf("pending-%d", i), Tenant: "x"})
+	}
+	s.Close() // crash with five tasks still pending
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append([]byte("{garbage\n"), raw...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openStore(t, cfg)
+	st := s2.Stats()
+	if st.JournalSkipped != 1 {
+		t.Fatalf("JournalSkipped = %d, want 1 (the injected garbage line)", st.JournalSkipped)
+	}
+	if st.Recovered != 5 || st.Pending != 5 {
+		t.Fatalf("recovered %d pending %d, want 5 5", st.Recovered, st.Pending)
+	}
+	for i := 0; i < 5; i++ {
+		id := fmt.Sprintf("pending-%d", i)
+		if v, ok := s2.Get(id); !ok || v.State != StatePending {
+			t.Fatalf("%s: %+v, want PENDING", id, v)
+		}
+	}
+	if got := s2.TryAcquire("rep", 10); len(got) != 5 {
+		t.Fatalf("dispatched %d recovered tasks, want 5", len(got))
 	}
 }
 

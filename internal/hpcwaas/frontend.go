@@ -3,6 +3,7 @@ package hpcwaas
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -12,19 +13,21 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/execstore"
+	"repro/internal/imagebuilder"
 	"repro/internal/obs"
 )
 
 // Frontend is one stateless HPCWaaS API replica over a shared
-// execstore.Store. Where Service owns a private execq.Queue (one
-// process, one control plane), a Frontend owns nothing durable: every
+// execstore.Store — Figure 1's Execution API, "workflow execution as a
+// simple REST invocation". A Frontend owns nothing durable: every
 // execution lives in the store, so N frontends behind a load balancer
 // answer interchangeably — submit on one, poll on another, cancel on a
 // third — and killing a frontend loses no work. Execution capacity is
 // equally replaceable: each frontend may embed an executor replica
 // (Workers > 0), and the store's epoch-fenced leases guarantee that a
 // crashed executor's tasks are reclaimed and completed exactly once by
-// a surviving peer.
+// a surviving peer. A single-process service is one Frontend over an
+// in-process store.
 //
 // Admission is the store's cost-based policy, mapped onto HTTP:
 // tenant-caused sheds (quota, rate) answer 429, capacity sheds (depth,
@@ -35,6 +38,7 @@ import (
 type Frontend struct {
 	cfg   FrontendConfig
 	reg   *Registry
+	dep   *Deployer
 	store *execstore.Store
 	rep   *execstore.Replica
 	met   *obs.Registry
@@ -52,6 +56,9 @@ type FrontendConfig struct {
 	Store *execstore.Store
 	// Registry is the (shared) workflow registry.
 	Registry *Registry
+	// Deployer serves the deployment routes; nil gets a default
+	// deployer (fresh image builder and DLS, x86_64/openmpi4).
+	Deployer *Deployer
 	// Workers sizes the embedded executor replica; 0 makes this a pure
 	// API replica that submits and reads but never executes.
 	Workers int
@@ -71,13 +78,16 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = NewRegistry()
 	}
+	if cfg.Deployer == nil {
+		cfg.Deployer = NewDeployer(nil, nil, imagebuilder.Platform{})
+	}
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("hpcwaas: frontend needs an id")
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	f := &Frontend{cfg: cfg, reg: cfg.Registry, store: cfg.Store, met: cfg.Metrics}
+	f := &Frontend{cfg: cfg, reg: cfg.Registry, dep: cfg.Deployer, store: cfg.Store, met: cfg.Metrics}
 	if cfg.Workers > 0 {
 		rep, err := execstore.NewReplica(execstore.ReplicaConfig{
 			ID:      cfg.ID,
@@ -133,9 +143,13 @@ func (f *Frontend) runTask(ctx context.Context, t execstore.TaskView) (json.RawM
 	}
 }
 
-// AuthorizeToken registers an API token for the named principal (same
-// contract as Service.AuthorizeToken). Register the same tokens on
-// every frontend: they are configuration, not shared state.
+// AuthorizeToken registers an API token for the named principal. Once
+// at least one token exists, every API route must carry
+// "Authorization: Bearer <token>" — the stand-in for the credential
+// vault the eFlows4HPC HPCWaaS uses so final users never handle SSH
+// keys themselves. The principal is also the tenant that store quotas,
+// rate limits and fair share are accounted against. Register the same
+// tokens on every frontend: they are configuration, not shared state.
 func (f *Frontend) AuthorizeToken(token, principal string) error {
 	if token == "" {
 		return fmt.Errorf("hpcwaas: empty token")
@@ -149,6 +163,9 @@ func (f *Frontend) AuthorizeToken(token, principal string) error {
 	return nil
 }
 
+// authenticate returns the principal for a request, or "" with false
+// when authentication fails. With no registered tokens the API is open
+// (development mode).
 func (f *Frontend) authenticate(r *http.Request) (string, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -186,6 +203,19 @@ func (f *Frontend) KillExecutor() {
 		f.rep.Kill()
 	}
 }
+
+// ExecStatus is the REST name of a store task state.
+type ExecStatus string
+
+// Execution states: QUEUED is a PENDING task (admitted, or parked
+// between retry attempts), RUNNING a LEASED one.
+const (
+	ExecQueued   ExecStatus = "QUEUED"
+	ExecRunning  ExecStatus = "RUNNING"
+	ExecDone     ExecStatus = "DONE"
+	ExecFailed   ExecStatus = "FAILED"
+	ExecCanceled ExecStatus = "CANCELED"
+)
 
 // execution is the REST view of a store task.
 type execution struct {
@@ -255,20 +285,27 @@ func writeShed(w http.ResponseWriter, se *execstore.ShedError) {
 	writeJSON(w, code, body)
 }
 
-// Handler returns the replica REST API. Routes:
+// Handler returns the REST API. Routes:
 //
-//	GET    /api/workflows            list registered workflows
-//	POST   /api/executions           submit ({"workflow","params","priority"})
-//	GET    /api/executions[?status=] list retained executions
-//	GET    /api/executions/{id}      status/results (410 if evicted)
-//	DELETE /api/executions/{id}      cancel
-//	GET    /api/store                store stats (leases, shed counters, latency)
-//	GET    /api/health               liveness + replica identity
-//	GET    /metrics                  Prometheus text exposition
+//	GET    /api/workflows                  list registered workflows
+//	GET    /api/workflows/{name}           workflow detail (topology)
+//	POST   /api/workflows/{name}/deploy    deploy ({"target": "..."})
+//	GET    /api/deployments/{id}           deployment status/log
+//	POST   /api/deployments/{id}/undeploy  tear down
+//	POST   /api/executions                 submit ({"workflow","params","priority"})
+//	GET    /api/executions[?status=S]      list retained executions, submission order
+//	GET    /api/executions/{id}            status/results (410 if evicted)
+//	DELETE /api/executions/{id}            cancel a queued/running execution
+//	GET    /api/store                      store stats (leases, shed counters, latency)
+//	GET    /api/health                     liveness + replica identity
+//	GET    /metrics                        Prometheus text exposition
 //
-// POST answers 202 on admission, 429/503 + Retry-After + shed reason on
-// shed (see writeShed). All state is in the shared store: any replica
-// answers for any execution.
+// POST /api/executions answers 202 on admission, 429/503 + Retry-After
+// + shed reason on shed (see writeShed). Executions run straight from
+// the registry; a deployment is the Yorc-side record of the topology,
+// not a gate. All execution state is in the shared store: any replica
+// answers for any execution. When AuthorizeToken has registered at
+// least one token, every route but /metrics requires it.
 func (f *Frontend) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -284,6 +321,72 @@ func (f *Frontend) Handler() http.Handler {
 			out = append(out, item{Name: e.Name, Version: e.Version, Description: e.Description})
 		}
 		writeJSON(w, http.StatusOK, out)
+	})
+
+	mux.HandleFunc("GET /api/workflows/{name}", func(w http.ResponseWriter, r *http.Request) {
+		e, ok := f.reg.Lookup(r.PathValue("name"))
+		if !ok {
+			httpError(w, http.StatusNotFound, "unknown workflow")
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{
+			"name":        e.Name,
+			"version":     e.Version,
+			"description": e.Description,
+			"topology":    e.Topology,
+		})
+	})
+
+	mux.HandleFunc("POST /api/workflows/{name}/deploy", func(w http.ResponseWriter, r *http.Request) {
+		e, ok := f.reg.Lookup(r.PathValue("name"))
+		if !ok {
+			httpError(w, http.StatusNotFound, "unknown workflow")
+			return
+		}
+		var body struct {
+			Target string `json:"target"`
+		}
+		if err := decodeJSON(r, &body); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if body.Target == "" {
+			body.Target = "default-cluster"
+		}
+		dep, err := f.dep.Deploy(e, body.Target)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		writeJSON(w, http.StatusCreated, dep)
+	})
+
+	mux.HandleFunc("GET /api/deployments/{id}", func(w http.ResponseWriter, r *http.Request) {
+		dep, ok := f.dep.Get(r.PathValue("id"))
+		if !ok {
+			httpError(w, http.StatusNotFound, "unknown deployment")
+			return
+		}
+		writeJSON(w, http.StatusOK, dep)
+	})
+
+	mux.HandleFunc("POST /api/deployments/{id}/undeploy", func(w http.ResponseWriter, r *http.Request) {
+		dep, ok := f.dep.Get(r.PathValue("id"))
+		if !ok {
+			httpError(w, http.StatusNotFound, "unknown deployment")
+			return
+		}
+		e, ok := f.reg.Lookup(dep.Workflow)
+		if !ok {
+			httpError(w, http.StatusConflict, "workflow no longer registered")
+			return
+		}
+		if err := f.dep.Undeploy(dep.ID, e.Topology); err != nil {
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		dep, _ = f.dep.Get(dep.ID) // re-read: status changed
+		writeJSON(w, http.StatusOK, dep)
 	})
 
 	mux.HandleFunc("POST /api/executions", func(w http.ResponseWriter, r *http.Request) {
@@ -367,7 +470,7 @@ func (f *Frontend) Handler() http.Handler {
 		case err == nil:
 			t, _ := f.store.Lookup(id)
 			writeJSON(w, http.StatusAccepted, toExecution(t))
-		case strings.Contains(err.Error(), "unknown task"):
+		case errors.Is(err, execstore.ErrUnknownTask):
 			httpError(w, http.StatusNotFound, err.Error())
 		default: // already terminal
 			httpError(w, http.StatusConflict, err.Error())
@@ -387,6 +490,9 @@ func (f *Frontend) Handler() http.Handler {
 		})
 	})
 
+	// The scrape endpoint sits outside the bearer-token wrapper:
+	// monitoring systems poll it without tenant credentials, and it
+	// exposes no per-tenant data.
 	metrics := obs.Handler(f.met)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/metrics" {
@@ -404,4 +510,37 @@ func (f *Frontend) Handler() http.Handler {
 		}
 		mux.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), principalKey{}, principal)))
 	})
+}
+
+// runApp isolates application panics as errors.
+func runApp(app AppFunc, params map[string]string) (out map[string]string, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("hpcwaas: application panicked: %v", p)
+		}
+	}()
+	return app(params)
+}
+
+// principalKey carries the authenticated principal in the request
+// context.
+type principalKey struct{}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+func httpError(w http.ResponseWriter, code int, msg string) {
+	writeJSON(w, code, map[string]string{"error": msg})
+}
+
+func decodeJSON(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("invalid JSON body: %w", err)
+	}
+	return nil
 }

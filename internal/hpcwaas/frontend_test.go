@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -365,4 +367,120 @@ func TestFrontendCancelAndLookupAcrossReplicas(t *testing.T) {
 		t.Fatalf("unknown id: %d, want 404", resp3.StatusCode)
 	}
 	resp3.Body.Close()
+}
+
+// TestFrontendRESTSurface pins the REST status codes one request at a
+// time against a pure-API frontend (no executor, so every state is
+// deterministic): each case opens a fresh store and replays its steps.
+func TestFrontendRESTSurface(t *testing.T) {
+	type step struct {
+		method, path, body string
+		token              string
+		code               int
+		shed               string // expected shed_reason, if any
+	}
+	submit := `{"workflow":"wf"}`
+	cases := []struct {
+		name  string
+		cfg   execstore.Config
+		auth  bool
+		steps []step
+	}{
+		{name: "202 accepted", steps: []step{
+			{method: "POST", path: "/api/executions", body: submit, code: http.StatusAccepted},
+			{method: "GET", path: "/api/executions/task-1", code: http.StatusOK},
+		}},
+		{name: "404 unknown workflow", steps: []step{
+			{method: "POST", path: "/api/executions", body: `{"workflow":"ghost"}`, code: http.StatusNotFound},
+		}},
+		{name: "400 malformed body", steps: []step{
+			{method: "POST", path: "/api/executions", body: `{"workflow":`, code: http.StatusBadRequest},
+		}},
+		{name: "429 tenant quota", cfg: execstore.Config{PerTenantLimit: 1}, steps: []step{
+			{method: "POST", path: "/api/executions", body: submit, code: http.StatusAccepted},
+			{method: "POST", path: "/api/executions", body: submit, code: http.StatusTooManyRequests, shed: "tenant-quota"},
+		}},
+		{name: "429 tenant rate", cfg: execstore.Config{RatePerSec: 0.5, Burst: 1}, steps: []step{
+			{method: "POST", path: "/api/executions", body: submit, code: http.StatusAccepted},
+			{method: "POST", path: "/api/executions", body: submit, code: http.StatusTooManyRequests, shed: "tenant-rate"},
+		}},
+		{name: "503 depth", cfg: execstore.Config{MaxPending: 1}, steps: []step{
+			{method: "POST", path: "/api/executions", body: submit, code: http.StatusAccepted},
+			{method: "POST", path: "/api/executions", body: submit, code: http.StatusServiceUnavailable, shed: "depth"},
+		}},
+		{name: "410 evicted", cfg: execstore.Config{Retention: 1}, steps: []step{
+			{method: "POST", path: "/api/executions", body: submit, code: http.StatusAccepted},
+			{method: "POST", path: "/api/executions", body: submit, code: http.StatusAccepted},
+			{method: "DELETE", path: "/api/executions/task-1", code: http.StatusAccepted},
+			{method: "DELETE", path: "/api/executions/task-2", code: http.StatusAccepted},
+			{method: "GET", path: "/api/executions/task-1", code: http.StatusGone},
+			{method: "GET", path: "/api/executions/task-2", code: http.StatusOK},
+			{method: "GET", path: "/api/executions/task-3", code: http.StatusNotFound},
+		}},
+		{name: "409 cancel terminal", steps: []step{
+			{method: "POST", path: "/api/executions", body: submit, code: http.StatusAccepted},
+			{method: "DELETE", path: "/api/executions/task-1", code: http.StatusAccepted},
+			{method: "DELETE", path: "/api/executions/task-1", code: http.StatusConflict},
+			{method: "DELETE", path: "/api/executions/task-9", code: http.StatusNotFound},
+		}},
+		{name: "status filters", steps: []step{
+			{method: "GET", path: "/api/executions?status=queued", code: http.StatusOK},
+			{method: "GET", path: "/api/executions?status=canceled", code: http.StatusOK},
+			{method: "GET", path: "/api/executions?status=bogus", code: http.StatusBadRequest},
+		}},
+		{name: "bearer token required once set", auth: true, steps: []step{
+			{method: "GET", path: "/api/workflows", code: http.StatusUnauthorized},
+			{method: "GET", path: "/api/workflows", token: "wrong", code: http.StatusUnauthorized},
+			{method: "POST", path: "/api/executions", body: submit, token: "tok", code: http.StatusAccepted},
+			{method: "GET", path: "/metrics", code: http.StatusOK},
+		}},
+		{name: "open API without tokens", steps: []step{
+			{method: "GET", path: "/api/workflows", code: http.StatusOK},
+			{method: "GET", path: "/api/store", code: http.StatusOK},
+			{method: "GET", path: "/api/health", code: http.StatusOK},
+		}},
+		{name: "deployment routes", steps: []step{
+			{method: "GET", path: "/api/workflows/wf", code: http.StatusOK},
+			{method: "POST", path: "/api/workflows/ghost/deploy", body: `{}`, code: http.StatusNotFound},
+			{method: "GET", path: "/api/deployments/dep-1", code: http.StatusNotFound},
+			{method: "POST", path: "/api/deployments/dep-1/undeploy", code: http.StatusNotFound},
+		}},
+		{name: "metrics is read-only", steps: []step{
+			{method: "POST", path: "/metrics", code: http.StatusMethodNotAllowed},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := openTestStore(t, tc.cfg)
+			f := newTestFrontend(t, FrontendConfig{ID: "api-0", Store: store})
+			if tc.auth {
+				f.AuthorizeToken("tok", "alice")
+			}
+			srv := httptest.NewServer(f.Handler())
+			defer srv.Close()
+			for i, st := range tc.steps {
+				req, _ := http.NewRequest(st.method, srv.URL+st.path, strings.NewReader(st.body))
+				if st.token != "" {
+					req.Header.Set("Authorization", "Bearer "+st.token)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != st.code {
+					t.Fatalf("step %d %s %s = %d, want %d (%s)", i, st.method, st.path, resp.StatusCode, st.code, body)
+				}
+				if st.shed == "" {
+					continue
+				}
+				var shed map[string]any
+				json.Unmarshal(body, &shed)
+				if shed["shed_reason"] != st.shed || resp.Header.Get("Retry-After") == "" {
+					t.Fatalf("step %d: shed %v Retry-After %q, want reason %s", i, shed, resp.Header.Get("Retry-After"), st.shed)
+				}
+			}
+		})
+	}
 }

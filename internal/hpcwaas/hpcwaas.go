@@ -2,9 +2,9 @@
 // the eFlows4HPC stack (paper §4.1, Figure 1): a workflow registry fed
 // by developers, a Yorc-like deployer that walks the TOSCA topology to
 // install software (via the Container Image Creation service) and move
-// data (via the Data Logistics Service), and a REST Execution API that
-// lets final users "run the deployed workflow as a simple REST
-// invocation".
+// data (via the Data Logistics Service), and a REST Execution API
+// (Frontend, over the execution store of internal/execstore) that lets
+// final users "run the deployed workflow as a simple REST invocation".
 package hpcwaas
 
 import (

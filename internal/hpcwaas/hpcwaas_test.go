@@ -2,6 +2,7 @@ package hpcwaas
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/dls"
+	"repro/internal/execstore"
 	"repro/internal/imagebuilder"
 	"repro/internal/tosca"
 )
@@ -160,55 +162,95 @@ func TestUndeploy(t *testing.T) {
 	}
 }
 
-func TestExecuteLifecycle(t *testing.T) {
-	d := newTestDeployer(t)
+// testAPI is one Frontend over its own store, served over httptest,
+// with the test deployer.
+type testAPI struct {
+	store *execstore.Store
+	front *Frontend
+	dep   *Deployer
+	srv   *httptest.Server
+}
+
+// newAPI registers entries (default: an echoing "climate") and serves
+// them from a Frontend whose executor has the given workers (0: none).
+func newAPI(t *testing.T, cfg execstore.Config, workers int, entries ...Entry) *testAPI {
+	t.Helper()
+	if len(entries) == 0 {
+		entries = []Entry{demoEntry("climate", nil)}
+	}
 	reg := NewRegistry()
-	reg.Register(demoEntry("climate", nil))
-	svc := NewService(reg, d)
-	e, _ := reg.Lookup("climate")
-	if _, err := svc.Execute("climate", nil); err == nil {
-		t.Fatal("execution without deployment accepted")
+	for _, e := range entries {
+		if err := reg.Register(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := d.Deploy(e, "zeus"); err != nil {
-		t.Fatal(err)
+	a := &testAPI{store: openTestStore(t, cfg), dep: newTestDeployer(t)}
+	a.front = newTestFrontend(t, FrontendConfig{ID: "api-0", Store: a.store, Registry: reg, Deployer: a.dep, Workers: workers})
+	a.srv = httptest.NewServer(a.front.Handler())
+	t.Cleanup(a.srv.Close)
+	return a
+}
+
+// submit POSTs an execution and returns its ID, failing unless 202.
+func (a *testAPI) submit(t *testing.T, workflow string, params map[string]string) string {
+	t.Helper()
+	code, ex := restCall(t, a.srv, "POST", "/api/executions", map[string]any{"workflow": workflow, "params": params})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit %s: %d %v", workflow, code, ex)
 	}
-	ex, err := svc.Execute("climate", map[string]string{"msg": "hi"})
+	return ex["id"].(string)
+}
+
+// waitIdle blocks until the store has no pending or leased task.
+func waitIdle(t *testing.T, s *execstore.Store) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.WaitIdle(ctx); err != nil {
+		t.Fatalf("store never went idle: %v (stats %+v)", err, s.Stats())
+	}
+}
+
+// list GETs /api/executions with an optional query string.
+func (a *testAPI) list(t *testing.T, query string) []execution {
+	t.Helper()
+	resp, err := a.srv.Client().Get(a.srv.URL + "/api/executions" + query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Wait()
-	got, ok := svc.GetExecution(ex.ID)
-	if !ok || got.Status != ExecDone || got.Results["echo"] != "hi" {
-		t.Fatalf("execution = %+v", got)
+	return decodeBody[[]execution](t, resp)
+}
+
+func TestExecuteLifecycle(t *testing.T) {
+	api := newAPI(t, execstore.Config{}, 1)
+	id := api.submit(t, "climate", map[string]string{"msg": "hi"})
+	if id != "task-1" {
+		t.Fatalf("first execution id = %s, want task-1", id)
 	}
-	if _, err := svc.Execute("ghost", nil); err == nil {
-		t.Fatal("unknown workflow executed")
+	waitIdle(t, api.store)
+	code, got := restCall(t, api.srv, "GET", "/api/executions/"+id, nil)
+	if code != http.StatusOK || got["status"] != "DONE" || got["results"].(map[string]any)["echo"] != "hi" {
+		t.Fatalf("execution = %d %v", code, got)
+	}
+	if code, _ := restCall(t, api.srv, "POST", "/api/executions", map[string]any{"workflow": "ghost"}); code != http.StatusNotFound {
+		t.Fatalf("unknown workflow code = %d, want 404", code)
 	}
 }
 
 func TestExecuteFailuresCaptured(t *testing.T) {
-	d := newTestDeployer(t)
-	reg := NewRegistry()
-	reg.Register(demoEntry("bad", func(map[string]string) (map[string]string, error) {
-		return nil, errors.New("app exploded")
-	}))
-	reg.Register(demoEntry("panics", func(map[string]string) (map[string]string, error) {
-		panic("kaboom")
-	}))
-	svc := NewService(reg, d)
-	for _, name := range []string{"bad", "panics"} {
-		e, _ := reg.Lookup(name)
-		if _, err := d.Deploy(e, "zeus"); err != nil {
-			t.Fatal(err)
-		}
-		ex, err := svc.Execute(name, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.Wait()
-		got, _ := svc.GetExecution(ex.ID)
-		if got.Status != ExecFailed || got.Error == "" {
-			t.Fatalf("%s: execution = %+v", name, got)
+	api := newAPI(t, execstore.Config{}, 1,
+		demoEntry("bad", func(map[string]string) (map[string]string, error) {
+			return nil, errors.New("app exploded")
+		}),
+		demoEntry("panics", func(map[string]string) (map[string]string, error) {
+			panic("kaboom")
+		}))
+	for name, want := range map[string]string{"bad": "app exploded", "panics": "panicked: kaboom"} {
+		id := api.submit(t, name, nil)
+		waitIdle(t, api.store)
+		_, got := restCall(t, api.srv, "GET", "/api/executions/"+id, nil)
+		if got["status"] != "FAILED" || !strings.Contains(fmt.Sprint(got["error"]), want) {
+			t.Fatalf("%s: execution = %v, want FAILED with %q", name, got, want)
 		}
 	}
 }
@@ -242,21 +284,15 @@ func restCall(t *testing.T, srv *httptest.Server, method, path string, body any)
 }
 
 func TestRESTEndToEnd(t *testing.T) {
-	d := newTestDeployer(t)
-	reg := NewRegistry()
-	reg.Register(demoEntry("climate", nil))
-	svc := NewService(reg, d)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	api := newAPI(t, execstore.Config{}, 1)
+	srv := api.srv
 
 	// list
 	resp, err := srv.Client().Get(srv.URL + "/api/workflows")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var list []map[string]any
-	json.NewDecoder(resp.Body).Decode(&list)
-	resp.Body.Close()
+	list := decodeBody[[]map[string]any](t, resp)
 	if len(list) != 1 || list[0]["name"] != "climate" {
 		t.Fatalf("list = %v", list)
 	}
@@ -270,18 +306,15 @@ func TestRESTEndToEnd(t *testing.T) {
 		t.Fatalf("ghost detail code = %d", code)
 	}
 
-	// execute before deploy → conflict
-	code, _ = restCall(t, srv, "POST", "/api/executions", map[string]any{"workflow": "climate"})
-	if code != http.StatusConflict {
-		t.Fatalf("pre-deploy execute code = %d", code)
-	}
-
 	// deploy
 	code, dep := restCall(t, srv, "POST", "/api/workflows/climate/deploy", map[string]any{"target": "zeus"})
 	if code != http.StatusCreated || dep["Status"] != "DEPLOYED" {
 		t.Fatalf("deploy = %d %v", code, dep)
 	}
 	depID := dep["ID"].(string)
+	if !api.dep.ActiveFor("climate") {
+		t.Fatal("deploy route did not go through the configured deployer")
+	}
 
 	// deployment status
 	code, got := restCall(t, srv, "GET", "/api/deployments/"+depID, nil)
@@ -289,16 +322,9 @@ func TestRESTEndToEnd(t *testing.T) {
 		t.Fatalf("deployment get = %d %v", code, got)
 	}
 
-	// execute
-	code, ex := restCall(t, srv, "POST", "/api/executions",
-		map[string]any{"workflow": "climate", "params": map[string]string{"msg": "via REST"}})
-	if code != http.StatusAccepted {
-		t.Fatalf("execute code = %d (%v)", code, ex)
-	}
-	exID := ex["id"].(string)
-
-	// poll until done
-	deadline := time.Now().Add(2 * time.Second)
+	// execute, then poll until done
+	exID := api.submit(t, "climate", map[string]string{"msg": "via REST"})
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		code, got = restCall(t, srv, "GET", "/api/executions/"+exID, nil)
 		if code != http.StatusOK {
@@ -312,32 +338,31 @@ func TestRESTEndToEnd(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	results := got["results"].(map[string]any)
-	if results["echo"] != "via REST" {
+	if results := got["results"].(map[string]any); results["echo"] != "via REST" {
 		t.Fatalf("results = %v", results)
 	}
 
 	// undeploy
-	code, _ = restCall(t, srv, "POST", "/api/deployments/"+depID+"/undeploy", nil)
-	if code != http.StatusOK {
-		t.Fatalf("undeploy code = %d", code)
+	code, got = restCall(t, srv, "POST", "/api/deployments/"+depID+"/undeploy", nil)
+	if code != http.StatusOK || got["Status"] != "UNDEPLOYED" {
+		t.Fatalf("undeploy = %d %v", code, got)
 	}
-	code, _ = restCall(t, srv, "POST", "/api/executions", map[string]any{"workflow": "climate"})
-	if code != http.StatusConflict {
-		t.Fatalf("post-undeploy execute code = %d", code)
+	if api.dep.ActiveFor("climate") {
+		t.Fatal("undeployed workflow still active")
 	}
 }
 
 func TestRESTValidation(t *testing.T) {
-	svc := NewService(nil, nil)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	srv := newAPI(t, execstore.Config{}, 0).srv
 
 	if code, _ := restCall(t, srv, "GET", "/api/executions/ghost", nil); code != http.StatusNotFound {
 		t.Fatalf("ghost execution code = %d", code)
 	}
 	if code, _ := restCall(t, srv, "GET", "/api/deployments/ghost", nil); code != http.StatusNotFound {
 		t.Fatalf("ghost deployment code = %d", code)
+	}
+	if code, _ := restCall(t, srv, "POST", "/api/deployments/ghost/undeploy", nil); code != http.StatusNotFound {
+		t.Fatalf("ghost undeploy code = %d", code)
 	}
 	if code, _ := restCall(t, srv, "POST", "/api/workflows/ghost/deploy", map[string]any{}); code != http.StatusNotFound {
 		t.Fatalf("ghost deploy code = %d", code)
@@ -358,35 +383,18 @@ func TestRESTValidation(t *testing.T) {
 }
 
 func TestHealthAndExecutionList(t *testing.T) {
-	d := newTestDeployer(t)
-	reg := NewRegistry()
-	reg.Register(demoEntry("climate", nil))
-	svc := NewService(reg, d)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	code, health := restCall(t, srv, "GET", "/api/health", nil)
-	if code != http.StatusOK || health["status"] != "ok" || health["workflows"].(float64) != 1 {
+	api := newAPI(t, execstore.Config{}, 1)
+	code, health := restCall(t, api.srv, "GET", "/api/health", nil)
+	if code != http.StatusOK || health["status"] != "ok" || health["workflows"].(float64) != 1 ||
+		health["replica"] != "api-0" || health["executor"] != true {
 		t.Fatalf("health = %d %v", code, health)
 	}
-	e, _ := reg.Lookup("climate")
-	if _, err := d.Deploy(e, "zeus"); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
-		if _, err := svc.Execute("climate", map[string]string{"msg": "x"}); err != nil {
-			t.Fatal(err)
-		}
+		api.submit(t, "climate", map[string]string{"msg": "x"})
 	}
-	svc.Wait()
-	resp, err := srv.Client().Get(srv.URL + "/api/executions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var list []Execution
-	json.NewDecoder(resp.Body).Decode(&list)
-	resp.Body.Close()
-	if len(list) != 3 || list[0].ID != "exec-1" {
+	waitIdle(t, api.store)
+	list := api.list(t, "")
+	if len(list) != 3 || list[0].ID != "task-1" {
 		t.Fatalf("executions = %+v", list)
 	}
 	for _, ex := range list {
@@ -397,18 +405,14 @@ func TestHealthAndExecutionList(t *testing.T) {
 }
 
 func TestTokenAuth(t *testing.T) {
-	d := newTestDeployer(t)
-	reg := NewRegistry()
-	reg.Register(demoEntry("climate", nil))
-	svc := NewService(reg, d)
-	if err := svc.AuthorizeToken("", "x"); err == nil {
+	api := newAPI(t, execstore.Config{}, 0)
+	if err := api.front.AuthorizeToken("", "x"); err == nil {
 		t.Fatal("empty token accepted")
 	}
-	if err := svc.AuthorizeToken("secret-1", "alice"); err != nil {
+	if err := api.front.AuthorizeToken("secret-1", "alice"); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	srv := api.srv
 
 	// no token → 401
 	resp, err := srv.Client().Get(srv.URL + "/api/workflows")
@@ -430,30 +434,34 @@ func TestTokenAuth(t *testing.T) {
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("bad-token code = %d", resp.StatusCode)
 	}
-	// right token → 200
-	req, _ = http.NewRequest("GET", srv.URL+"/api/workflows", nil)
+	// right token → 200, and the token's principal is the tenant
+	req, _ = http.NewRequest("POST", srv.URL+"/api/executions", strings.NewReader(`{"workflow":"climate"}`))
 	req.Header.Set("Authorization", "Bearer secret-1")
 	resp, err = srv.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("authenticated code = %d", resp.StatusCode)
+	}
+	if ex := decodeBody[execution](t, resp); ex.Principal != "alice" {
+		t.Fatalf("principal = %q, want alice", ex.Principal)
 	}
 }
 
 func TestNoTokensMeansOpenAPI(t *testing.T) {
-	svc := NewService(nil, nil)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/api/workflows")
+	api := newAPI(t, execstore.Config{}, 0)
+	resp, err := api.srv.Client().Get(api.srv.URL + "/api/workflows")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("open-mode code = %d", resp.StatusCode)
+	}
+	api.submit(t, "climate", nil)
+	if v, _ := api.store.Get("task-1"); v.Tenant != "anonymous" {
+		t.Fatalf("tenant = %q, want anonymous", v.Tenant)
 	}
 }
 
@@ -475,8 +483,9 @@ func TestDeployerCacheAcrossDeployments(t *testing.T) {
 	}
 }
 
-func ExampleService_Execute() {
-	// Developers register a workflow; users run it via the service.
+func ExampleFrontend() {
+	// Developers register a workflow; users run it over REST through a
+	// frontend whose embedded executor leases it from the store.
 	reg := NewRegistry()
 	_ = reg.Register(Entry{
 		Name:     "hello",
@@ -485,14 +494,22 @@ func ExampleService_Execute() {
 			return map[string]string{"greeting": "hello " + p["who"]}, nil
 		},
 	})
-	d := NewDeployer(nil, nil, imagebuilder.Platform{Arch: "x86_64"})
-	d.Pipelines["stage-in-climatology"] = dls.Pipeline{Name: "noop"}
-	svc := NewService(reg, d)
-	e, _ := reg.Lookup("hello")
-	_, _ = d.Deploy(e, "zeus")
-	ex, _ := svc.Execute("hello", map[string]string{"who": "climate"})
-	svc.Wait()
-	got, _ := svc.GetExecution(ex.ID)
-	fmt.Println(got.Results["greeting"])
-	// Output: hello climate
+	store, _ := execstore.Open(execstore.Config{})
+	defer store.Close()
+	f, _ := NewFrontend(FrontendConfig{ID: "api-0", Store: store, Registry: reg, Workers: 1})
+	defer f.KillExecutor()
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+
+	resp, _ := http.Post(srv.URL+"/api/executions", "application/json",
+		strings.NewReader(`{"workflow":"hello","params":{"who":"climate"}}`))
+	var ex execution
+	_ = json.NewDecoder(resp.Body).Decode(&ex)
+	resp.Body.Close()
+	_ = store.WaitIdle(context.Background())
+	resp, _ = http.Get(srv.URL + "/api/executions/" + ex.ID)
+	_ = json.NewDecoder(resp.Body).Decode(&ex)
+	resp.Body.Close()
+	fmt.Println(ex.ID, ex.Status, ex.Results["greeting"])
+	// Output: task-1 DONE hello climate
 }

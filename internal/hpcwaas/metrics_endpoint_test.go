@@ -7,49 +7,46 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/execstore"
 	"repro/internal/obs"
 )
 
 // TestMetricsEndpoint drives one execution through the REST API and
-// asserts GET /metrics serves the execq instrument surface in
-// Prometheus text format — without a bearer token, even when the rest
-// of the API requires one.
+// asserts GET /metrics serves the store's execstore_* instrument
+// surface in Prometheus text format — without a bearer token, even
+// when the rest of the API requires one.
 func TestMetricsEndpoint(t *testing.T) {
-	d := newTestDeployer(t)
+	mreg := obs.NewRegistry()
+	store := openTestStore(t, execstore.Config{Metrics: mreg})
 	reg := NewRegistry()
 	reg.Register(demoEntry("climate", nil))
-	mreg := obs.NewRegistry()
-	svc, err := NewServiceWith(reg, d, ServiceConfig{Metrics: mreg})
+	f := newTestFrontend(t, FrontendConfig{ID: "api-0", Store: store, Registry: reg, Workers: 1, Metrics: mreg})
+	if err := f.AuthorizeToken("s3cret", "alice"); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+
+	req, _ := http.NewRequest("POST", srv.URL+"/api/executions", strings.NewReader(`{"workflow":"climate","params":{"msg":"hi"}}`))
+	req.Header.Set("Authorization", "Bearer s3cret")
+	resp, err := srv.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
-	if svc.Metrics() != mreg {
-		t.Fatal("Metrics() does not return the configured registry")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("authenticated submit = %d", resp.StatusCode)
 	}
-	if err := svc.AuthorizeToken("s3cret", "alice"); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := reg.Lookup("climate")
-	if _, err := d.Deploy(e, "zeus"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.ExecuteAs("alice", "climate", map[string]string{"msg": "hi"}, 0); err != nil {
-		t.Fatal(err)
-	}
-	svc.Wait()
-
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	waitIdle(t, store)
 
 	// API routes demand the token...
-	resp, err := srv.Client().Get(srv.URL + "/api/queue")
+	resp, err = srv.Client().Get(srv.URL + "/api/store")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated /api/queue = %d, want 401", resp.StatusCode)
+		t.Fatalf("unauthenticated /api/store = %d, want 401", resp.StatusCode)
 	}
 
 	// ...but the scrape endpoint does not.
@@ -67,17 +64,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		"# TYPE execq_submitted_total counter",
-		"execq_submitted_total 1",
-		"execq_completed_total 1",
-		"# TYPE execq_queue_depth gauge",
-		"execq_queue_depth 0",
-		"# TYPE execq_wait_seconds histogram",
-		`execq_wait_seconds_bucket{le="+Inf"} 1`,
-		"execq_wait_seconds_count 1",
-		"# TYPE execq_run_seconds histogram",
-		"execq_run_seconds_count 1",
-		`execq_rejected_total{reason="full"} 0`,
+		"# TYPE execstore_submitted_total counter",
+		"execstore_submitted_total 1",
+		"execstore_completed_total 1",
+		"# TYPE execstore_pending gauge",
+		"execstore_pending 0",
+		"execstore_replicas_live 1",
+		"# TYPE execstore_wait_seconds histogram",
+		`execstore_wait_seconds_bucket{le="+Inf"} 1`,
+		"execstore_wait_seconds_count 1",
+		"# TYPE execstore_run_seconds histogram",
+		"execstore_run_seconds_count 1",
+		"# TYPE execstore_shed_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)

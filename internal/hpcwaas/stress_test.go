@@ -6,51 +6,27 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/execq"
+	"repro/internal/execstore"
 )
 
-// newQueuedService builds a deployed service on a deliberately tiny
-// queue so admission control is observable.
-func newQueuedService(t *testing.T, cfg ServiceConfig, app AppFunc) *Service {
-	t.Helper()
-	d := newTestDeployer(t)
-	reg := NewRegistry()
-	if err := reg.Register(demoEntry("climate", app)); err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewServiceWith(reg, d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { svc.Close() })
-	e, _ := reg.Lookup("climate")
-	if _, err := d.Deploy(e, "zeus"); err != nil {
-		t.Fatal(err)
-	}
-	return svc
-}
-
 // TestConcurrentAPIStress fires many parallel POST /api/executions from
-// two principals against a tiny queue and asserts quota enforcement,
-// 429 + Retry-After semantics and that every accepted execution reaches
-// exactly one terminal state (run with -race).
+// two principals against a tiny store and asserts quota enforcement,
+// 429/503 + Retry-After semantics and that every accepted execution
+// reaches exactly one terminal state (run with -race).
 func TestConcurrentAPIStress(t *testing.T) {
-	svc := newQueuedService(t, ServiceConfig{
-		Workers: 2, QueueDepth: 4, PerPrincipalLimit: 3, Retention: 4096,
-	}, func(params map[string]string) (map[string]string, error) {
-		time.Sleep(2 * time.Millisecond)
-		return map[string]string{"ok": "1"}, nil
-	})
-	svc.AuthorizeToken("tok-alice", "alice")
-	svc.AuthorizeToken("tok-bob", "bob")
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	api := newAPI(t, execstore.Config{MaxPending: 4, PerTenantLimit: 3}, 2,
+		demoEntry("climate", func(params map[string]string) (map[string]string, error) {
+			time.Sleep(2 * time.Millisecond)
+			return map[string]string{"ok": "1"}, nil
+		}))
+	api.front.AuthorizeToken("tok-alice", "alice")
+	api.front.AuthorizeToken("tok-bob", "bob")
+	srv := api.srv
 
 	post := func(token string) (int, string, string, error) {
 		body, _ := json.Marshal(map[string]any{"workflow": "climate"})
@@ -71,7 +47,7 @@ func TestConcurrentAPIStress(t *testing.T) {
 	var (
 		mu       sync.Mutex
 		accepted []string
-		rejected int
+		shed     int
 	)
 	var wg sync.WaitGroup
 	for _, token := range []string{"tok-alice", "tok-bob"} {
@@ -89,12 +65,12 @@ func TestConcurrentAPIStress(t *testing.T) {
 					mu.Lock()
 					accepted = append(accepted, id)
 					mu.Unlock()
-				case http.StatusTooManyRequests:
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 					if secs, err := strconv.Atoi(retryAfter); err != nil || secs < 1 {
-						t.Errorf("429 without usable Retry-After: %q", retryAfter)
+						t.Errorf("%d without usable Retry-After: %q", code, retryAfter)
 					}
 					mu.Lock()
-					rejected++
+					shed++
 					mu.Unlock()
 				default:
 					t.Errorf("unexpected status %d", code)
@@ -102,8 +78,8 @@ func TestConcurrentAPIStress(t *testing.T) {
 			}(token)
 		}
 	}
-	// concurrently observe the queue: per-principal usage must respect
-	// the quota at every sample
+	// concurrently observe the store: per-principal live tasks must
+	// respect the quota at every sample
 	stop := make(chan struct{})
 	var sampler sync.WaitGroup
 	sampler.Add(1)
@@ -115,9 +91,15 @@ func TestConcurrentAPIStress(t *testing.T) {
 				return
 			default:
 			}
-			for p, n := range svc.QueueStats().PerPrincipal {
+			live := map[string]int{}
+			for _, v := range api.store.List("") {
+				if !v.State.Terminal() {
+					live[v.Tenant]++
+				}
+			}
+			for p, n := range live {
 				if n > 3 {
-					t.Errorf("principal %s over quota: %d live jobs", p, n)
+					t.Errorf("principal %s over quota: %d live tasks", p, n)
 				}
 			}
 			time.Sleep(time.Millisecond)
@@ -129,19 +111,19 @@ func TestConcurrentAPIStress(t *testing.T) {
 
 	mu.Lock()
 	ids := append([]string(nil), accepted...)
-	nRejected := rejected
+	nShed := shed
 	mu.Unlock()
-	if len(ids)+nRejected != 2*perPrincipal {
-		t.Fatalf("accepted %d + rejected %d != %d", len(ids), nRejected, 2*perPrincipal)
+	if len(ids)+nShed != 2*perPrincipal {
+		t.Fatalf("accepted %d + shed %d != %d", len(ids), nShed, 2*perPrincipal)
 	}
-	if len(ids) == 0 || nRejected == 0 {
-		t.Fatalf("load did not exercise admission: accepted=%d rejected=%d", len(ids), nRejected)
+	if len(ids) == 0 || nShed == 0 {
+		t.Fatalf("load did not exercise admission: accepted=%d shed=%d", len(ids), nShed)
 	}
-	if stats := svc.QueueStats(); stats.RejectedQuota+stats.RejectedFull == 0 {
-		t.Fatalf("no admission rejections recorded: %+v", stats)
+	if st := api.store.Stats(); st.Shed[string(execstore.ShedTenantQuota)]+st.Shed[string(execstore.ShedDepth)] == 0 {
+		t.Fatalf("no admission sheds recorded: %+v", st)
 	}
 
-	svc.Wait()
+	waitIdle(t, api.store)
 
 	// no lost or duplicated terminal states: every accepted ID appears
 	// exactly once in the listing, DONE
@@ -151,11 +133,7 @@ func TestConcurrentAPIStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var list []Execution
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	list := decodeBody[[]execution](t, resp)
 	seen := make(map[string]int)
 	for _, ex := range list {
 		seen[ex.ID]++
@@ -173,268 +151,212 @@ func TestConcurrentAPIStress(t *testing.T) {
 	}
 }
 
-// TestExecutionRetention covers the bounded-retention satellite: old
-// completed records evict, evicted IDs answer 410/"expired", and live
-// records are never evicted.
+// TestExecutionRetention: old completed records evict, evicted IDs
+// answer 410, and unknown ones 404.
 func TestExecutionRetention(t *testing.T) {
-	svc := newQueuedService(t, ServiceConfig{
-		Workers: 1, QueueDepth: 16, Retention: 3,
-	}, func(params map[string]string) (map[string]string, error) {
-		return map[string]string{"ok": "1"}, nil
-	})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
+	api := newAPI(t, execstore.Config{Retention: 3}, 1)
 	for i := 0; i < 6; i++ {
-		if _, err := svc.Execute("climate", nil); err != nil {
-			t.Fatal(err)
-		}
-		svc.Wait() // serialize so eviction order is deterministic
+		api.submit(t, "climate", nil)
+		waitIdle(t, api.store) // serialize so eviction order is deterministic
 	}
-	list := svc.ListExecutions("")
+	list := api.list(t, "")
 	if len(list) != 3 {
 		t.Fatalf("retained %d records, want 3", len(list))
 	}
-	if list[0].ID != "exec-4" || list[2].ID != "exec-6" {
-		t.Fatalf("retained window = %s..%s, want exec-4..exec-6", list[0].ID, list[2].ID)
+	if list[0].ID != "task-4" || list[2].ID != "task-6" {
+		t.Fatalf("retained window = %s..%s, want task-4..task-6", list[0].ID, list[2].ID)
 	}
-
-	// evicted ID: distinct "expired" signal, REST answers 410
-	if _, st := svc.LookupExecution("exec-1"); st != LookupExpired {
-		t.Fatalf("exec-1 lookup = %v, want LookupExpired", st)
-	}
-	if _, ok := svc.GetExecution("exec-1"); ok {
-		t.Fatal("GetExecution returned an evicted record")
-	}
-	if _, st := svc.LookupExecution("exec-999"); st != LookupUnknown {
-		t.Fatalf("exec-999 lookup = %v, want LookupUnknown", st)
-	}
-	code, _ := restCall(t, srv, "GET", "/api/executions/exec-1", nil)
-	if code != http.StatusGone {
-		t.Fatalf("evicted GET code = %d, want 410", code)
-	}
-	code, _ = restCall(t, srv, "GET", "/api/executions/nonsense", nil)
-	if code != http.StatusNotFound {
-		t.Fatalf("unknown GET code = %d, want 404", code)
+	for path, want := range map[string]int{
+		"/api/executions/task-1":   http.StatusGone,
+		"/api/executions/task-999": http.StatusNotFound,
+		"/api/executions/nonsense": http.StatusNotFound,
+	} {
+		if code, _ := restCall(t, api.srv, "GET", path, nil); code != want {
+			t.Fatalf("GET %s = %d, want %d", path, code, want)
+		}
 	}
 }
 
-// TestListExecutionsOrderAndFilter covers the stable-order + ?status=
-// satellite.
+// TestListExecutionsOrderAndFilter covers submission order and the
+// ?status= filter.
 func TestListExecutionsOrderAndFilter(t *testing.T) {
-	fail := make(map[string]bool)
-	var mu sync.Mutex
-	svc := newQueuedService(t, ServiceConfig{Workers: 1, QueueDepth: 16},
-		func(params map[string]string) (map[string]string, error) {
-			mu.Lock()
-			bad := fail[params["n"]]
-			mu.Unlock()
-			if bad {
+	api := newAPI(t, execstore.Config{}, 1,
+		demoEntry("climate", func(params map[string]string) (map[string]string, error) {
+			if params["n"] == "1" {
 				return nil, errors.New("synthetic failure")
 			}
 			return map[string]string{"ok": "1"}, nil
-		})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	mu.Lock()
-	fail["1"] = true
-	mu.Unlock()
+		}))
 	for i := 0; i < 4; i++ {
-		if _, err := svc.Execute("climate", map[string]string{"n": strconv.Itoa(i)}); err != nil {
-			t.Fatal(err)
-		}
+		api.submit(t, "climate", map[string]string{"n": strconv.Itoa(i)})
 	}
-	svc.Wait()
+	waitIdle(t, api.store)
 
-	resp, err := srv.Client().Get(srv.URL + "/api/executions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var list []Execution
-	json.NewDecoder(resp.Body).Decode(&list)
-	resp.Body.Close()
+	list := api.list(t, "")
 	if len(list) != 4 {
 		t.Fatalf("list len = %d", len(list))
 	}
 	for i, ex := range list {
-		if want := "exec-" + strconv.Itoa(i+1); ex.ID != want {
-			t.Fatalf("list[%d] = %s, want %s (stable creation order)", i, ex.ID, want)
+		if want := "task-" + strconv.Itoa(i+1); ex.ID != want {
+			t.Fatalf("list[%d] = %s, want %s (submission order)", i, ex.ID, want)
 		}
 	}
-
-	resp, err = srv.Client().Get(srv.URL + "/api/executions?status=failed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var failed []Execution
-	json.NewDecoder(resp.Body).Decode(&failed)
-	resp.Body.Close()
-	if len(failed) != 1 || failed[0].ID != "exec-2" || failed[0].Status != ExecFailed {
+	if failed := api.list(t, "?status=failed"); len(failed) != 1 || failed[0].ID != "task-2" || failed[0].Status != ExecFailed {
 		t.Fatalf("failed filter = %+v", failed)
 	}
-
-	resp, err = srv.Client().Get(srv.URL + "/api/executions?status=bogus")
-	if err != nil {
-		t.Fatal(err)
+	if done := api.list(t, "?status=DONE"); len(done) != 3 {
+		t.Fatalf("done filter = %+v", done)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bogus filter code = %d", resp.StatusCode)
+	if code, _ := restCall(t, api.srv, "GET", "/api/executions?status=bogus", nil); code != http.StatusBadRequest {
+		t.Fatalf("bogus filter code = %d", code)
 	}
 }
 
-// TestCancelEndpoint exercises DELETE /api/executions/{id} for queued
-// and terminal records.
+// TestCancelEndpoint exercises DELETE /api/executions/{id} on a queued,
+// a running and a terminal execution.
 func TestCancelEndpoint(t *testing.T) {
-	gate := make(chan struct{})
-	var once sync.Once
-	started := make(chan struct{})
-	svc := newQueuedService(t, ServiceConfig{Workers: 1, QueueDepth: 8},
-		func(params map[string]string) (map[string]string, error) {
-			once.Do(func() { close(started) })
-			<-gate
-			return map[string]string{"ok": "1"}, nil
-		})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	release := make(chan struct{})
+	api := newAPI(t, execstore.Config{LeaseTTL: 90 * time.Millisecond}, 0,
+		demoEntry("climate", func(params map[string]string) (map[string]string, error) {
+			<-release // only cancellation ends the execution
+			return nil, nil
+		}))
+	t.Cleanup(func() { close(release) })
 
-	// first occupies the worker; second sits queued
-	if _, err := svc.Execute("climate", nil); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	queued, err := svc.Execute("climate", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if queued.Status != ExecQueued {
-		t.Fatalf("second execution status = %s, want QUEUED", queued.Status)
-	}
-
-	code, body := restCall(t, srv, "DELETE", "/api/executions/"+queued.ID, nil)
-	if code != http.StatusAccepted {
-		t.Fatalf("cancel code = %d %v", code, body)
-	}
-	close(gate)
-	svc.Wait()
-	got, _ := svc.GetExecution(queued.ID)
-	if got.Status != ExecCanceled {
-		t.Fatalf("canceled execution = %+v", got)
+	// Nothing executes yet: the execution stays queued.
+	queued := api.submit(t, "climate", nil)
+	code, body := restCall(t, api.srv, "DELETE", "/api/executions/"+queued, nil)
+	if code != http.StatusAccepted || body["status"] != "CANCELED" {
+		t.Fatalf("cancel queued = %d %v", code, body)
 	}
 	// terminal record: conflict
-	code, _ = restCall(t, srv, "DELETE", "/api/executions/"+queued.ID, nil)
-	if code != http.StatusConflict {
+	if code, _ = restCall(t, api.srv, "DELETE", "/api/executions/"+queued, nil); code != http.StatusConflict {
 		t.Fatalf("double cancel code = %d", code)
 	}
-	code, _ = restCall(t, srv, "DELETE", "/api/executions/ghost", nil)
-	if code != http.StatusNotFound {
+	if code, _ = restCall(t, api.srv, "DELETE", "/api/executions/ghost", nil); code != http.StatusNotFound {
 		t.Fatalf("ghost cancel code = %d", code)
+	}
+
+	// A running execution is canceled through its lease: the executor
+	// sees the request on its next renew.
+	newTestFrontend(t, FrontendConfig{ID: "exec-0", Store: api.store, Registry: api.front.reg, Workers: 1})
+	running := api.submit(t, "climate", nil)
+	waitStatus(t, api, running, ExecRunning)
+	if code, body = restCall(t, api.srv, "DELETE", "/api/executions/"+running, nil); code != http.StatusAccepted {
+		t.Fatalf("cancel running = %d %v", code, body)
+	}
+	waitStatus(t, api, running, ExecCanceled)
+}
+
+// waitStatus polls an execution until it reaches want.
+func waitStatus(t *testing.T, api *testAPI, id string, want ExecStatus) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, got := restCall(t, api.srv, "GET", "/api/executions/"+id, nil)
+		if got["status"] == string(want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never reached %s: %v", id, want, got)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestQueueEndpointAndDrain exercises GET /api/queue and the graceful
-// drain path.
+// TestQueueEndpointAndDrain exercises GET /api/store, the queue's
+// stats, and the graceful drain path.
 func TestQueueEndpointAndDrain(t *testing.T) {
-	svc := newQueuedService(t, ServiceConfig{Workers: 2, QueueDepth: 8},
-		func(params map[string]string) (map[string]string, error) {
+	api := newAPI(t, execstore.Config{}, 2,
+		demoEntry("climate", func(params map[string]string) (map[string]string, error) {
 			time.Sleep(time.Millisecond)
 			return map[string]string{"ok": "1"}, nil
-		})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
+		}))
 	for i := 0; i < 6; i++ {
-		if _, err := svc.Execute("climate", nil); err != nil {
-			t.Fatal(err)
-		}
+		api.submit(t, "climate", nil)
 	}
-	code, stats := restCall(t, srv, "GET", "/api/queue", nil)
-	if code != http.StatusOK {
-		t.Fatalf("queue stats code = %d", code)
-	}
-	if stats["capacity"].(float64) != 8 || stats["workers"].(float64) != 2 {
-		t.Fatalf("queue stats = %v", stats)
+	code, stats := restCall(t, api.srv, "GET", "/api/store", nil)
+	if code != http.StatusOK || stats["submitted"].(float64) != 6 || stats["replicas_live"].(float64) != 1 {
+		t.Fatalf("store stats = %d %v", code, stats)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := svc.Drain(ctx); err != nil {
+	api.store.Drain()
+	if err := api.store.WaitIdle(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	// intake rejected after drain
-	if _, err := svc.Execute("climate", nil); !errors.Is(err, execq.ErrDraining) {
-		t.Fatalf("post-drain execute err = %v", err)
+	if err := api.front.Drain(ctx); err != nil {
+		t.Fatalf("executor drain: %v", err)
 	}
-	// all six finished
-	done := svc.ListExecutions(ExecDone)
-	if len(done) != 6 {
+	// intake refused after drain
+	code, body := restCall(t, api.srv, "POST", "/api/executions", map[string]any{"workflow": "climate"})
+	if code != http.StatusServiceUnavailable || body["shed_reason"] != "draining" {
+		t.Fatalf("post-drain submit = %d %v", code, body)
+	}
+	if done := api.list(t, "?status=done"); len(done) != 6 {
 		t.Fatalf("done executions = %d, want 6", len(done))
 	}
-	code, stats = restCall(t, srv, "GET", "/api/queue", nil)
+	code, stats = restCall(t, api.srv, "GET", "/api/store", nil)
 	if code != http.StatusOK || stats["draining"] != true {
 		t.Fatalf("post-drain stats = %d %v", code, stats)
 	}
+	// every run lands in the latency summaries
+	for _, h := range []string{"wait", "run", "e2e"} {
+		sum := stats[h].(map[string]any)
+		if sum["count"].(float64) != 6 || sum["p50_seconds"].(float64) <= 0 {
+			t.Fatalf("%s summary = %v, want 6 samples", h, sum)
+		}
+	}
 }
 
-// TestJournalRecoveryAcrossServices covers the crash-recovery path at
-// the service layer: executions queued in a first service's journal are
-// re-run by a second service sharing the journal path.
+// TestJournalRecoveryAcrossServices covers crash recovery: executions
+// in a first store's journal are re-run by a second store and frontend
+// opened on the same journal after the first process "crashed".
 func TestJournalRecoveryAcrossServices(t *testing.T) {
 	journal := t.TempDir() + "/exec-journal.jsonl"
 	gate := make(chan struct{})
-	var once sync.Once
-	started := make(chan struct{})
+	defer close(gate) // release the abandoned app goroutine
+	started := make(chan struct{}, 3)
 
-	d := newTestDeployer(t)
-	reg := NewRegistry()
-	if err := reg.Register(demoEntry("climate", func(params map[string]string) (map[string]string, error) {
-		once.Do(func() { close(started) })
+	reg1 := NewRegistry()
+	if err := reg1.Register(demoEntry("climate", func(params map[string]string) (map[string]string, error) {
+		started <- struct{}{}
 		<-gate
 		return map[string]string{"ok": "1"}, nil
 	})); err != nil {
 		t.Fatal(err)
 	}
-	e, _ := reg.Lookup("climate")
-	if _, err := d.Deploy(e, "zeus"); err != nil {
+	store1, err := execstore.Open(execstore.Config{JournalPath: journal})
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	svc1, err := NewServiceWith(reg, d, ServiceConfig{Workers: 1, QueueDepth: 8, JournalPath: journal})
+	f1, err := NewFrontend(FrontendConfig{ID: "api-1", Store: store1, Registry: reg1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := svc1.Execute("climate", map[string]string{"n": strconv.Itoa(i)}); err != nil {
+		if _, err := store1.Submit(execstore.Task{Tenant: "anonymous", Kind: "climate",
+			Payload: json.RawMessage(`{"n":"` + strconv.Itoa(i) + `"}`)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	<-started
-	// "crash": svc1 is abandoned without drain; its worker stays parked
-	// on the gate, and the journal still lists all three as live.
+	// "crash": the executor dies without reporting and the store closes
+	// with all three still live in the journal.
+	f1.KillExecutor()
+	store1.Close()
 
-	// the recovered service runs the app to completion
-	reg2 := NewRegistry()
 	var mu sync.Mutex
 	ran := map[string]bool{}
-	if err := reg2.Register(demoEntry("climate", func(params map[string]string) (map[string]string, error) {
-		mu.Lock()
-		ran[params["n"]] = true
-		mu.Unlock()
-		return map[string]string{"recovered": "yes"}, nil
-	})); err != nil {
-		t.Fatal(err)
-	}
-	e2, _ := reg2.Lookup("climate")
-	if _, err := d.Deploy(e2, "zeus"); err != nil {
-		t.Fatal(err)
-	}
-	svc2, err := NewServiceWith(reg2, d, ServiceConfig{Workers: 2, QueueDepth: 8, JournalPath: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Close()
-	svc2.Wait()
+	api := newAPI(t, execstore.Config{JournalPath: journal}, 2,
+		demoEntry("climate", func(params map[string]string) (map[string]string, error) {
+			mu.Lock()
+			ran[params["n"]] = true
+			mu.Unlock()
+			return map[string]string{"recovered": "yes"}, nil
+		}))
+	waitIdle(t, api.store)
 
 	mu.Lock()
 	n := len(ran)
@@ -442,7 +364,7 @@ func TestJournalRecoveryAcrossServices(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("recovered runs = %d, want 3", n)
 	}
-	list := svc2.ListExecutions(ExecDone)
+	list := api.list(t, "?status=done")
 	if len(list) != 3 {
 		t.Fatalf("recovered DONE records = %d, want 3", len(list))
 	}
@@ -452,49 +374,30 @@ func TestJournalRecoveryAcrossServices(t *testing.T) {
 		}
 	}
 	// new IDs allocate past the recovered ones
-	ex, err := svc2.Execute("climate", nil)
-	if err != nil {
-		t.Fatal(err)
+	if id := api.submit(t, "climate", nil); id != "task-4" {
+		t.Fatalf("post-recovery ID = %s, want task-4", id)
 	}
-	if ex.ID != "exec-4" {
-		t.Fatalf("post-recovery ID = %s, want exec-4", ex.ID)
-	}
-	svc2.Wait()
-	close(gate) // release the abandoned worker
-	svc1.Close()
 }
 
-// TestPriorityViaREST covers the priority field on POST /api/executions.
+// TestPriorityViaREST covers the priority field on POST /api/executions:
+// within one tenant, higher priority dispatches first.
 func TestPriorityViaREST(t *testing.T) {
-	gate := make(chan struct{})
-	var once sync.Once
-	started := make(chan struct{})
 	var mu sync.Mutex
 	var order []string
-	svc := newQueuedService(t, ServiceConfig{Workers: 1, QueueDepth: 8},
-		func(params map[string]string) (map[string]string, error) {
-			once.Do(func() { close(started) })
-			if params["tag"] == "head" {
-				<-gate
-			} else {
-				mu.Lock()
-				order = append(order, params["tag"])
-				mu.Unlock()
-			}
+	api := newAPI(t, execstore.Config{}, 0,
+		demoEntry("climate", func(params map[string]string) (map[string]string, error) {
+			mu.Lock()
+			order = append(order, params["tag"])
+			mu.Unlock()
 			return map[string]string{}, nil
-		})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+		}))
 
-	if _, err := svc.Execute("climate", map[string]string{"tag": "head"}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
+	// Both wait in the store until an executor joins.
 	for _, sub := range []struct {
 		tag string
 		pri int
 	}{{"low", 0}, {"high", 9}} {
-		code, body := restCall(t, srv, "POST", "/api/executions", map[string]any{
+		code, body := restCall(t, api.srv, "POST", "/api/executions", map[string]any{
 			"workflow": "climate",
 			"params":   map[string]string{"tag": sub.tag},
 			"priority": sub.pri,
@@ -503,8 +406,8 @@ func TestPriorityViaREST(t *testing.T) {
 			t.Fatalf("submit %s = %d %v", sub.tag, code, body)
 		}
 	}
-	close(gate)
-	svc.Wait()
+	newTestFrontend(t, FrontendConfig{ID: "exec-0", Store: api.store, Registry: api.front.reg, Workers: 1})
+	waitIdle(t, api.store)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != 2 || order[0] != "high" || order[1] != "low" {
